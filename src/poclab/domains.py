@@ -94,10 +94,6 @@ class Problem:
     init: tuple[Literal, ...]
     goal: tuple[Literal, ...]
 
-    @property
-    def init_atoms(self) -> frozenset[tuple[str, tuple[str, ...]]]:
-        return frozenset((l.pred, tuple(t.name for t in l.args)) for l in self.init)
-
 
 # ---------------------------------------------------------------------------
 # reader

@@ -54,7 +54,7 @@ class Repair:
     step: int = -1                       # reuse: producing step id
     effect: Literal | None = None        # init / reuse: the matched effect
     operator: Operator | None = None     # new-step
-    effect_index: int = -1               # new-step: which operator effect
+    effect_index: int = -1               # new-step: which distinct operator effect
     pair: tuple[Term, Term] | None = None  # separate: terms to force apart
 
     def describe(self) -> str:
@@ -101,14 +101,11 @@ def _init_by_pred(start_effects: tuple[Literal, ...]) -> dict[str, tuple[Literal
 def _library_effects(
     operators: tuple[Operator, ...]
 ) -> dict[tuple[str, bool], tuple[tuple[Operator, int, SchemaLiteral], ...]]:
-    """(pred, polarity) -> candidate (operator, effect index, schema)."""
+    """(pred, polarity) -> candidate (operator, effect index, schema).
+    The index counts distinct effects, as instantiate_step keeps them."""
     index: dict[tuple[str, bool], list[tuple[Operator, int, SchemaLiteral]]] = {}
     for op in operators:
-        seen: set[SchemaLiteral] = set()
-        for i, eff in enumerate(op.effects):
-            if eff in seen:
-                continue
-            seen.add(eff)
+        for i, eff in enumerate(dict.fromkeys(op.effects)):
             index.setdefault((eff.pred, eff.positive), []).append((op, i, eff))
     return {k: tuple(v) for k, v in index.items()}
 

@@ -247,10 +247,6 @@ def add_ordering(plan: PartialPlan, before: int, after: int) -> PartialPlan | No
     )
 
 
-def precedes(plan: PartialPlan, a: int, b: int) -> bool:
-    return plan.orderings.precedes(a, b)
-
-
 def linearize(plan: PartialPlan) -> list[int]:
     """Deterministic topological order (ties broken by ascending id)."""
     n = len(plan.steps)

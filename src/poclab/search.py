@@ -21,11 +21,10 @@ from fractions import Fraction
 from .domains import Domain, Problem
 from .flaws import (
     DEMOTE,
+    ESTABLISH_KINDS,
     FROM_START,
     NEW_STEP,
     PROMOTE,
-    REUSE,
-    SEPARATE,
     Repair,
     detect_new_threats,
     enumerate_repairs,
@@ -55,11 +54,12 @@ TIME_LIMIT = "time-limit"
 
 @dataclass(frozen=True)
 class RankWeights:
-    """Coefficients for the (steps, opens, threats) node ranking."""
+    """Coefficients for the (steps, opens, threats) node ranking.
+    Integral coefficients are ints, so ranks under them are ints too."""
 
-    w_steps: Fraction = Fraction(1)
-    w_open: Fraction = Fraction(1)
-    w_threats: Fraction = Fraction(0)
+    w_steps: int | Fraction = 1
+    w_open: int | Fraction = 1
+    w_threats: int | Fraction = 0
 
     @property
     def label(self) -> str:
@@ -74,7 +74,7 @@ class RankWeights:
         return "+".join(parts) if parts else "0"
 
 
-def _coef_text(f: Fraction) -> str:
+def _coef_text(f: int | Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     scaled = f * 1000
@@ -89,8 +89,9 @@ _RANK_TERM = re.compile(r"^(\d*\.?\d*)(S|OC|UC)$")
 
 def parse_rank(text: str) -> RankWeights:
     """Rank strings are sums of S, OC, UC with optional decimal
-    coefficients, e.g. "S+OC", "S+OC+UC", "S+OC+.1UC"."""
-    weights = {"S": Fraction(0), "OC": Fraction(0), "UC": Fraction(0)}
+    coefficients, e.g. "S+OC", "S+OC+UC", "S+OC+.1UC".  Integral
+    coefficients come back as ints, the others as exact Fractions."""
+    weights: dict[str, int | Fraction] = {"S": 0, "OC": 0, "UC": 0}
     seen = set()
     for raw in text.split("+"):
         term = raw.strip()
@@ -103,17 +104,14 @@ def parse_rank(text: str) -> RankWeights:
         if name in seen:
             raise ValueError(f"rank term '{name}' appears twice")
         seen.add(name)
-        if coef in ("", "."):
-            value = Fraction(1) if coef == "" else None
-            if value is None:
-                raise ValueError(f"bad coefficient in rank term '{term}'")
-        else:
-            value = Fraction("0" + coef if coef.startswith(".") else coef)
-        weights[name] = value
+        if coef == ".":
+            raise ValueError(f"bad coefficient in rank term '{term}'")
+        value = Fraction("0" + coef if coef.startswith(".") else coef or "1")
+        weights[name] = value.numerator if value.denominator == 1 else value
     return RankWeights(weights["S"], weights["OC"], weights["UC"])
 
 
-def rank(plan: PartialPlan, w: RankWeights) -> Fraction:
+def rank(plan: PartialPlan, w: RankWeights) -> int | Fraction:
     return w.w_steps * plan.n_steps + w.w_open * plan.n_open + w.w_threats * plan.n_threats
 
 
@@ -222,77 +220,54 @@ def _apply_repair(
 ) -> PartialPlan:
     """Build the child plan for one enumerated repair.  Enumeration
     pre-validates consistency, so application never fails."""
-    gen = ctx.generation
     rest = _without(plan.agenda, flaw)
 
-    if repair.kind in (PROMOTE, DEMOTE):
+    if repair.kind not in ESTABLISH_KINDS:  # threat repairs add no flaws
+        orderings, bindings = plan.orderings, plan.bindings
         if repair.kind == PROMOTE:
-            orderings = plan.orderings.with_ordering(flaw.link.consumer, flaw.step)
+            orderings = orderings.with_ordering(flaw.link.consumer, flaw.step)
+        elif repair.kind == DEMOTE:
+            orderings = orderings.with_ordering(flaw.step, flaw.link.producer)
         else:
-            orderings = plan.orderings.with_ordering(flaw.step, flaw.link.producer)
+            bindings = bindings.require_distinct(*repair.pair)
         return PartialPlan(
-            plan.steps, plan.links, orderings, plan.bindings, rest,
+            plan.steps, plan.links, orderings, bindings, rest,
             plan.n_steps, plan.n_open, plan.n_threats - 1,
         )
 
-    if repair.kind == SEPARATE:
-        bindings = plan.bindings.require_distinct(*repair.pair)
-        return PartialPlan(
-            plan.steps, plan.links, plan.orderings, bindings, rest,
-            plan.n_steps, plan.n_open, plan.n_threats - 1,
-        )
-
-    # establishment
-    if repair.kind == FROM_START:
-        bindings = plan.bindings if repair.effect is None else unify(flaw.literal, repair.effect, plan.bindings)
-        link = CausalLink(START_ID, flaw.literal, flaw.step, gen)
-        child = PartialPlan(
-            plan.steps, plan.links + (link,), plan.orderings, bindings, rest,
-            plan.n_steps, plan.n_open - 1, plan.n_threats,
-        )
-        threats = detect_new_threats(child, None, link, config.systematic)
-        new_step = None
-    elif repair.kind == REUSE:
-        bindings = unify(flaw.literal, repair.effect, plan.bindings)
-        orderings = plan.orderings.with_ordering(repair.step, flaw.step)
-        link = CausalLink(repair.step, flaw.literal, flaw.step, gen)
-        child = PartialPlan(
-            plan.steps, plan.links + (link,), orderings, bindings, rest,
-            plan.n_steps, plan.n_open - 1, plan.n_threats,
-        )
-        threats = detect_new_threats(child, None, link, config.systematic)
-        new_step = None
-    elif repair.kind == NEW_STEP:
-        sid = len(plan.steps)
-        new_step = instantiate_step(repair.operator, sid, gen, ctx.vids)
-        bindings = unify(flaw.literal, new_step.effects[repair.effect_index], plan.bindings)
-        if bindings is None:
-            raise AssertionError("enumerated new-step repair failed to unify")
-        orderings = plan.orderings.with_step(sid).with_ordering(sid, flaw.step)
-        link = CausalLink(sid, flaw.literal, flaw.step, gen)
-        preconds = list(new_step.preconds)
-        if config.reverse_preconditions:
-            preconds.reverse()
-        opens = tuple(Flaw(OPEN, sid, pre, None, ctx.stamps.take()) for pre in preconds)
-        child = PartialPlan(
-            plan.steps + (new_step,), plan.links + (link,), orderings, bindings,
-            rest + opens,
-            plan.n_steps + 1, plan.n_open - 1 + len(opens), plan.n_threats,
-        )
-        threats = detect_new_threats(child, new_step, link, config.systematic)
+    gen = ctx.generation
+    if repair.kind == NEW_STEP:
+        producer = len(plan.steps)
+        new_step = instantiate_step(repair.operator, producer, gen, ctx.vids)
+        effect = new_step.effects[repair.effect_index]
+        steps = plan.steps + (new_step,)
+        orderings = plan.orderings.with_step(producer)
+        preconds = new_step.preconds[::-1] if config.reverse_preconditions else new_step.preconds
+        opens = tuple(Flaw(OPEN, producer, pre, None, ctx.stamps.take()) for pre in preconds)
     else:
-        raise AssertionError(f"unknown repair kind {repair.kind}")
-
-    n_new = len(threats) + (len(child.agenda) - len(rest))
+        # effect is None only for a closed-world negative condition
+        producer = START_ID if repair.kind == FROM_START else repair.step
+        new_step, effect = None, repair.effect
+        steps, orderings, opens = plan.steps, plan.orderings, ()
+    bindings = plan.bindings if effect is None else unify(flaw.literal, effect, plan.bindings)
+    if bindings is None:
+        raise AssertionError(f"enumerated {repair.kind} repair failed to unify")
+    link = CausalLink(producer, flaw.literal, flaw.step, gen)
+    child = PartialPlan(
+        steps, plan.links + (link,), orderings.with_ordering(producer, flaw.step), bindings,
+        rest + opens,
+        plan.n_steps + (new_step is not None), plan.n_open - 1 + len(opens), plan.n_threats,
+    )
+    threats = detect_new_threats(child, new_step, link, config.systematic)
     if threats:
         flaws = tuple(
-            Flaw(kind, sid_, lit, lk, ctx.stamps.take()) for kind, sid_, lit, lk in threats
+            Flaw(kind, sid, lit, lk, ctx.stamps.take()) for kind, sid, lit, lk in threats
         )
         child = replace(
             child, agenda=child.agenda + flaws, n_threats=child.n_threats + len(flaws)
         )
     if cached:
-        child = _with_cached_costs(child, n_new, domain)
+        child = _with_cached_costs(child, len(opens) + len(threats), domain)
     return child
 
 
@@ -358,10 +333,7 @@ def plan_search(
     if cached:
         root = _with_cached_costs(root, len(root.agenda), domain)
     stats.nodes_generated = 1
-    root_rank = rank(root, config.rank)
-    if root_rank.denominator == 1:
-        root_rank = root_rank.numerator
-    frontier: list[tuple] = [(root_rank, 0, root)]
+    frontier: list[tuple] = [(rank(root, config.rank), 0, root)]
     stats.max_frontier = 1
     if observer is not None and hasattr(observer, "on_enqueue"):
         observer.on_enqueue(root)
@@ -409,9 +381,7 @@ def plan_search(
             observer.on_expand(node, flaw, children)
         for child in children:
             stats.nodes_generated += 1
-            r = rank(child, config.rank)
-            key = r.numerator if r.denominator == 1 else r  # int keys compare fast
-            heapq.heappush(frontier, (key, -stats.nodes_generated, child))
+            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child))
             if observer is not None and hasattr(observer, "on_enqueue"):
                 observer.on_enqueue(child)
         if len(frontier) > stats.max_frontier:

@@ -283,14 +283,3 @@ def forced_complementary(e: Literal, f: Literal, store: BindingStore) -> bool:
     if e.pred != f.pred or e.positive == f.positive or len(e.args) != len(f.args):
         return False
     return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))
-
-
-def forced_same(e: Literal, f: Literal, store: BindingStore) -> bool:
-    """Same-polarity analogue of forced_complementary (systematicity mode)."""
-    if e.pred != f.pred or e.positive != f.positive or len(e.args) != len(f.args):
-        return False
-    return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))
-
-
-def add_noncodesignation(store: BindingStore, t1: Term, t2: Term) -> BindingStore | None:
-    return store.require_distinct(t1, t2)

@@ -11,8 +11,10 @@ pinned causes and the measured counts.
 """
 
 import functools
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import oracle
 from helpers import plan_with, separable_threat_fixture
@@ -47,6 +49,7 @@ from poclab.terms import const, lit
 
 LIMIT = 10000
 RANKS = ("S+OC", "S+OC+UC")
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -63,10 +66,22 @@ def all_tasks():
             yield dom, p
 
 
+def golden_cells() -> dict[str, dict]:
+    """The benchmark's recorded cells of the 252-cell sweep, keyed
+    `strategy|problem|rank`."""
+    cells = {}
+    for workload in ("sweep-costed", "sweep-uncosted"):
+        cells.update(json.loads((GOLDEN / f"{workload}.json").read_text())["cells"])
+    return cells
+
+
 def test_criterion_1_soundness_suite():
-    """Every solved (problem x strategy x rank) run validates."""
+    """Every solved (problem x strategy x rank) run validates, and every
+    run's node counts equal the benchmark's golden record."""
+    golden = golden_cells()
     t0 = time.time()
     solved = checked = 0
+    mismatched = []
     for dom, prob in all_tasks():
         for rank in RANKS:
             for name in builtin_names():
@@ -75,14 +90,22 @@ def test_criterion_1_soundness_suite():
                     SearchConfig(rank=parse_rank(rank), node_limit=LIMIT),
                 )
                 checked += 1
+                key = f"{name}|{prob.name}|{rank}"
+                want = golden.pop(key)
+                st = out.stats
+                got = (out.status, st.nodes_generated, st.nodes_expanded, st.nodes_pruned)
+                if got != (want["status"], want["generated"], want["expanded"], want["pruned"]):
+                    mismatched.append(f"{key}: {got}")
                 if out.solved:
                     solved += 1
                     assert validate_solution(out.plan, dom, prob), (
                         f"{name} on {prob.name} ({rank}) returned an invalid plan"
                     )
     elapsed = time.time() - t0
+    assert not golden, f"golden cells never run: {sorted(golden)}"
+    assert not mismatched, f"node counts differ from golden: {mismatched}"
     ok = elapsed < 120.0 and solved > 0
-    report("1 soundness", ok, f"{solved}/{checked} runs solved, all valid, {elapsed:.1f}s")
+    report("1 soundness", ok, f"{solved}/{checked} runs solved, all valid, golden counts, {elapsed:.1f}s")
     assert ok, f"suite took {elapsed:.1f}s (budget 120s)"
 
 

@@ -5,6 +5,15 @@ import pytest
 
 import oracle
 from poclab.domains import bundled, parse_domain, parse_problem
+from poclab.flaws import (
+    DEMOTE,
+    FROM_START,
+    NEW_STEP,
+    PROMOTE,
+    REUSE,
+    SEPARATE,
+    enumerate_repairs,
+)
 from poclab.plan import (
     GOAL_ID,
     START_ID,
@@ -17,7 +26,7 @@ from poclab.plan import (
     serialize,
     validate_solution,
 )
-from poclab.search import SearchConfig, plan_search
+from poclab.search import SearchConfig, parse_rank, plan_search
 from poclab.strategies import builtin
 from poclab.terms import const, lit
 
@@ -182,23 +191,38 @@ def test_serialization_golden():
     assert serialize(plan) == expected
 
 
-def test_counter_consistency_along_search():
-    from poclab.search import plan_search
-
-    dom, probs = bundled("briefcase")
+@pytest.mark.parametrize(
+    "domain, problem, strategy, rank, kinds",
+    [
+        ("briefcase", "get-paid", "DSep", "S+OC", {FROM_START, REUSE, NEW_STEP, PROMOTE}),
+        # reaches every repair kind, so every child-building path is checked
+        ("tileworld", "tileworld-2", "UCPOP", "S+OC+UC",
+         {FROM_START, REUSE, NEW_STEP, PROMOTE, DEMOTE, SEPARATE}),
+    ],
+    ids=["briefcase-DSep", "tileworld-2-UCPOP"],
+)
+def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds):
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
 
     class Obs:
         def __init__(self):
             self.checked = 0
+            self.kinds = set()
+
+        def on_expand(self, plan, flaw, children):
+            self.kinds.update(r.kind for r in enumerate_repairs(plan, flaw, dom))
 
         def on_enqueue(self, plan):
-            if self.checked % 7 == 0:  # probabilistic-style sampling, deterministic here
-                assert (plan.n_steps, plan.n_open, plan.n_threats) == recount(plan)
+            assert (plan.n_steps, plan.n_open, plan.n_threats) == recount(plan)
             self.checked += 1
 
     obs = Obs()
-    out = plan_search(dom, probs[0], builtin("DSep"), SearchConfig(node_limit=2000), observer=obs)
-    assert obs.checked > 100
+    config = SearchConfig(rank=parse_rank(rank), node_limit=10000)
+    out = plan_search(dom, prob, builtin(strategy), config, observer=obs)
+    assert out.solved
+    assert obs.checked == out.stats.nodes_generated
+    assert kinds <= obs.kinds
 
 
 def test_links_always_respect_orderings():

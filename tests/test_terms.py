@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from poclab.terms import (
     EMPTY_STORE,
     Literal,
-    add_noncodesignation,
     args_unifiable,
     const,
     forced_complementary,
@@ -79,18 +78,18 @@ def test_forced_complementary_implies_unifiable():
 
 
 def test_add_noncodesignation():
-    s = add_noncodesignation(EMPTY_STORE, x, t)
+    s = EMPTY_STORE.require_distinct(x, t)
     assert s is not None and s.noncodesignating(x, t)
-    assert add_noncodesignation(s.merge(x, y), x, y) is None  # now codesignate
-    assert add_noncodesignation(EMPTY_STORE, A, A) is None  # constant self-disequality
+    assert s.merge(x, y).require_distinct(x, y) is None  # now codesignate
+    assert EMPTY_STORE.require_distinct(A, A) is None  # constant self-disequality
     merged = EMPTY_STORE.merge(x, t)
-    assert add_noncodesignation(merged, x, t) is None
+    assert merged.require_distinct(x, t) is None
 
 
 def test_distinct_constants_never_unify():
     assert EMPTY_STORE.merge(A, B) is None
     assert EMPTY_STORE.noncodesignating(A, B)
-    s = add_noncodesignation(EMPTY_STORE, A, B)  # redundant but allowed
+    s = EMPTY_STORE.require_distinct(A, B)  # redundant but allowed
     assert s is not None
 
 
