@@ -175,6 +175,8 @@ def run_matrix(
     """
     if not tasks or not strategies or not limit_kinds:
         raise ValueError("tasks, strategies, and limit_kinds must be non-empty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = [p.name for _, p in tasks]
     if len(set(names)) != len(names):
         raise ValueError("problem names must be unique across the matrix")

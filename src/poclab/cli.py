@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategies",
         metavar="LIST",
         default=",".join(builtin_names()),
-        help="comma-separated builtin names or DSL texts (default: all builtins)",
+        help="comma-separated builtin names or DSL texts, e.g. 'LCFR,{n,s}LIFO / {o}LIFO' (default: all builtins)",
     )
     p_bench.add_argument("--out", metavar="CSV", default="-", help="CSV path, or - for stdout (default)")
     p_bench.add_argument("--jobs", type=int, default=1, help="concurrent matrix workers (default 1)")
@@ -181,7 +182,9 @@ def _cmd_bench(args) -> int:
     else:
         domain, problems = bundled(args.bundled)
         tasks = [(domain, p) for p in problems]
-    strategies = [_parse_strategy_arg(s.strip()) for s in args.strategies.split(",") if s.strip()]
+    # split at commas outside braces, so a DSL text keeps its kind lists
+    texts = re.split(r",(?![^{]*})", args.strategies)
+    strategies = [_parse_strategy_arg(s.strip()) for s in texts if s.strip()]
     config = _build_config(args)
     kinds = []
     if config.node_limit is not None:

@@ -7,12 +7,18 @@ own step, and in effects of library operators.  Threats cost at most two
 argument pair not already forced equal.  Threat liveness is re-validated
 lazily (at selection and at cost computation), not eagerly on every
 constraint addition.
+
+The costs, the refinements and the dead-end probe share one scan per
+flaw kind: a cost is the length of the enumeration, each enumerated
+repair becomes a child, and the probe is the enumeration stopped at its
+first hit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .domains import Domain, Operator, SchemaLiteral
 from .plan import (
@@ -46,8 +52,7 @@ SEPARATE = "separate"
 ESTABLISH_KINDS = (FROM_START, REUSE, NEW_STEP)
 
 
-@dataclass(frozen=True, slots=True)
-class Repair:
+class Repair(NamedTuple):
     """One way to fix one flaw.  Only the fields for its kind are set."""
 
     kind: str
@@ -67,6 +72,13 @@ class Repair:
         if self.kind == SEPARATE:
             return f"separate {self.pair[0]}!={self.pair[1]}"
         return self.kind
+
+
+# Field-less repairs are shared: a Repair is immutable, and the probe
+# runs on every flaw of every popped node.
+_PROMOTE = Repair(PROMOTE)
+_DEMOTE = Repair(DEMOTE)
+_CLOSED_WORLD = Repair(FROM_START)
 
 
 def _ground_atom(cond: Literal, store: BindingStore) -> tuple[str, tuple[str, ...]] | None:
@@ -246,10 +258,15 @@ def refresh_agenda(plan: PartialPlan) -> PartialPlan:
 # repair enumeration
 
 
-def enumerate_open_repairs(plan: PartialPlan, flaw: Flaw, domain: Domain) -> list[Repair]:
-    """Every consistent establishment for an open condition, tagged by
-    category so that len(result) is the flaw's repair cost and the
-    categories can feed new-step-preference tie-breaking."""
+def enumerate_open_repairs(
+    plan: PartialPlan, flaw: Flaw, domain: Domain, first: bool = False
+) -> list[Repair]:
+    """Every consistent establishment for an open condition, in the order
+    init, reuse, new step, so that len(result) is the flaw's repair cost
+    and the categories can feed new-step-preference tie-breaking.
+
+    With first=True, return as soon as one establishment is found; the
+    library is then tried before the plan's steps."""
     cond = flaw.literal
     store = plan.bindings
     out: list[Repair] = []
@@ -259,42 +276,53 @@ def enumerate_open_repairs(plan: PartialPlan, flaw: Flaw, domain: Domain) -> lis
         for eff in _init_by_pred(start.effects).get(cond.pred, ()):
             if args_unifiable(cond, eff, store):
                 out.append(Repair(FROM_START, effect=eff))
+                if first:
+                    return out
     else:
         # Closed world: a ground negative condition holds initially iff
         # its atom is absent from the initial state.
         atom = _ground_atom(cond, store)
         if atom is not None and atom not in _init_atoms(start.effects):
-            out.append(Repair(FROM_START))
+            out.append(_CLOSED_WORLD)
+            if first:
+                return out
+
+    new: list[Repair] = []
+    for op, i, eff in _library_effects(domain.operators).get((cond.pred, cond.positive), ()):
+        if schema_effect_unifies(cond, eff, store):
+            new.append(Repair(NEW_STEP, operator=op, effect_index=i))
+            if first:
+                return new
 
     for st in plan.steps:
         if st.id in (START_ID, GOAL_ID) or st.id == flaw.step:
             continue
         if plan.precedes(flaw.step, st.id):
             continue
-        seen: set[Literal] = set()
-        for eff in st.effects:
-            if eff.pred != cond.pred or eff.positive != cond.positive or eff in seen:
-                continue
-            seen.add(eff)
-            if args_unifiable(cond, eff, store):
+        for eff in st.effects:  # effects are distinct by construction
+            if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
                 out.append(Repair(REUSE, step=st.id, effect=eff))
-
-    for op, i, eff in _library_effects(domain.operators).get((cond.pred, cond.positive), ()):
-        if schema_effect_unifies(cond, eff, store):
-            out.append(Repair(NEW_STEP, operator=op, effect_index=i))
+                if first:
+                    return out
+    out.extend(new)
     return out
 
 
-def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
+def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False) -> list[Repair]:
     """Promotion and demotion when consistent; for separable threats
     also one separation per argument pair not already forced equal
-    (duplicate pairs collapse to one repair)."""
+    (duplicate pairs collapse to one repair).  With first=True, return
+    as soon as one repair is found."""
     link = flaw.link
     out: list[Repair] = []
     if not plan.precedes(flaw.step, link.consumer):
-        out.append(Repair(PROMOTE))
+        out.append(_PROMOTE)
+        if first:
+            return out
     if not plan.precedes(link.producer, flaw.step):
-        out.append(Repair(DEMOTE))
+        out.append(_DEMOTE)
+        if first:
+            return out
     if flaw.kind == SEPARABLE:
         store = plan.bindings
         seen_pairs: set[frozenset[Term]] = set()
@@ -307,6 +335,8 @@ def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
                 continue
             seen_pairs.add(key)
             out.append(Repair(SEPARATE, pair=(x, y)))
+            if first:
+                return out
     return out
 
 
@@ -333,45 +363,7 @@ def repair_cost(plan: PartialPlan, flaw: Flaw, domain: Domain, mode: str = "exac
 
 
 def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
-    """Zero-cost probe with early exit; flaw is assumed refreshed."""
-    if flaw.kind != OPEN:
-        link = flaw.link
-        if not plan.precedes(flaw.step, link.consumer):
-            return True
-        if not plan.precedes(link.producer, flaw.step):
-            return True
-        if flaw.kind == SEPARABLE:
-            store = plan.bindings
-            return any(
-                store.find(x) != store.find(y)
-                for x, y in zip(flaw.literal.args, link.condition.args)
-            )
-        return False
-
-    cond = flaw.literal
-    store = plan.bindings
-    start = plan.steps[START_ID]
-    if cond.positive:
-        for eff in _init_by_pred(start.effects).get(cond.pred, ()):
-            if args_unifiable(cond, eff, store):
-                return True
-    else:
-        atom = _ground_atom(cond, store)
-        if atom is not None and atom not in _init_atoms(start.effects):
-            return True
-    for op, _, eff in _library_effects(domain.operators).get((cond.pred, cond.positive), ()):
-        if schema_effect_unifies(cond, eff, store):
-            return True
-    for st in plan.steps:
-        if st.id in (START_ID, GOAL_ID) or st.id == flaw.step:
-            continue
-        if plan.precedes(flaw.step, st.id):
-            continue
-        for eff in st.effects:
-            if (
-                eff.pred == cond.pred
-                and eff.positive == cond.positive
-                and args_unifiable(cond, eff, store)
-            ):
-                return True
-    return False
+    """Dead-end probe: the enumeration's first hit; flaw is assumed refreshed."""
+    if flaw.kind == OPEN:
+        return bool(enumerate_open_repairs(plan, flaw, domain, first=True))
+    return bool(enumerate_threat_repairs(plan, flaw, first=True))

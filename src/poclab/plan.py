@@ -159,9 +159,6 @@ class PartialPlan:
     n_open: int
     n_threats: int
 
-    def step(self, sid: int) -> Step:
-        return self.steps[sid]
-
     def precedes(self, a: int, b: int) -> bool:
         return self.orderings.precedes(a, b)
 

@@ -1,5 +1,10 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
+import csv
+import io
+
+import pytest
+
 from poclab.cli import main
 from poclab.domains import bundled, format_domain, format_problem
 
@@ -151,6 +156,29 @@ def test_bench_suite_directory(tmp_path, capsys):
     )
     assert code == 0
     assert "sussman" in out
+
+
+def test_bench_strategy_list_keeps_commas_inside_braces(capsys):
+    code, out, err = run(
+        capsys,
+        "bench", "--bundled", "blocks", "--strategies", "LCFR,{n,s}LIFO / {o}LIFO",
+        "--node-limit", "10000", "--out", "-",
+    )
+    assert code == 0, err
+    labels = {row["strategy"] for row in csv.DictReader(io.StringIO(out))}
+    assert labels == {"LCFR", "{n,s}LIFO / {o}LIFO"}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(
+        capsys,
+        "bench", "--bundled", "blocks", "--strategies", "LCFR",
+        "--node-limit", "100", "--jobs", jobs, "--out", "-",
+    )
+    assert code == 2
+    assert "jobs" in err
+    assert out == ""
 
 
 def test_bench_requires_some_limit(capsys):

@@ -12,10 +12,15 @@ from poclab.flaws import (
     PROMOTE,
     REUSE,
     SEPARATE,
+    enumerate_open_repairs,
     enumerate_repairs,
+    enumerate_threat_repairs,
+    has_any_repair,
+    refresh_agenda,
 )
 from poclab.plan import (
     GOAL_ID,
+    OPEN,
     START_ID,
     CausalLink,
     OrderingStore,
@@ -208,6 +213,7 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
     class Obs:
         def __init__(self):
             self.checked = 0
+            self.dead = 0
             self.kinds = set()
 
         def on_expand(self, plan, flaw, children):
@@ -216,6 +222,18 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
         def on_enqueue(self, plan):
             assert (plan.n_steps, plan.n_open, plan.n_threats) == recount(plan)
             self.checked += 1
+            # the dead-end probe is the enumeration stopped at its first hit
+            live = refresh_agenda(plan)
+            for f in live.agenda:
+                full = enumerate_repairs(live, f, dom)
+                if f.kind == OPEN:
+                    first = enumerate_open_repairs(live, f, dom, first=True)
+                else:
+                    first = enumerate_threat_repairs(live, f, first=True)
+                assert has_any_repair(live, f, dom) == bool(full)
+                assert len(first) == min(len(full), 1)
+                assert all(r in full for r in first)
+                self.dead += not full
 
     obs = Obs()
     config = SearchConfig(rank=parse_rank(rank), node_limit=10000)
@@ -223,6 +241,7 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
     assert out.solved
     assert obs.checked == out.stats.nodes_generated
     assert kinds <= obs.kinds
+    assert obs.dead > 0
 
 
 def test_links_always_respect_orderings():
