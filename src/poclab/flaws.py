@@ -17,7 +17,6 @@ first hit.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 from typing import NamedTuple
 
 from .domains import Domain, Operator, SchemaLiteral
@@ -92,12 +91,36 @@ def _ground_atom(cond: Literal, store: BindingStore) -> tuple[str, tuple[str, ..
     return (cond.pred, tuple(names))
 
 
-@lru_cache(maxsize=64)
+_MEMO_SIZE = 64
+
+
+def _memo_by_identity(build):
+    """Memoize build(arg) on id(arg): a probe costs an id() and a dict
+    lookup, not a hash of the whole tuple.  Each entry holds arg, so its
+    id cannot be reused while the entry lives; the memo is cleared when
+    it reaches _MEMO_SIZE entries."""
+    memo: dict[int, tuple[object, object]] = {}
+
+    def lookup(arg):
+        hit = memo.get(id(arg))
+        if hit is not None:
+            return hit[1]
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        value = build(arg)
+        memo[id(arg)] = (arg, value)
+        return value
+
+    lookup.memo = memo
+    return lookup
+
+
+@_memo_by_identity
 def _init_atoms(start_effects: tuple[Literal, ...]) -> frozenset[tuple[str, tuple[str, ...]]]:
     return frozenset((l.pred, tuple(t.name for t in l.args)) for l in start_effects)
 
 
-@lru_cache(maxsize=64)
+@_memo_by_identity
 def _init_by_pred(start_effects: tuple[Literal, ...]) -> dict[str, tuple[Literal, ...]]:
     index: dict[str, list[Literal]] = {}
     seen: set[Literal] = set()
@@ -109,7 +132,7 @@ def _init_by_pred(start_effects: tuple[Literal, ...]) -> dict[str, tuple[Literal
     return {k: tuple(v) for k, v in index.items()}
 
 
-@lru_cache(maxsize=64)
+@_memo_by_identity
 def _library_effects(
     operators: tuple[Operator, ...]
 ) -> dict[tuple[str, bool], tuple[tuple[Operator, int, SchemaLiteral], ...]]:
@@ -266,7 +289,7 @@ def enumerate_open_repairs(
     and the categories can feed new-step-preference tie-breaking.
 
     With first=True, return as soon as one establishment is found; the
-    library is then tried before the plan's steps."""
+    library is then tried, and the plan's steps are not."""
     cond = flaw.literal
     store = plan.bindings
     out: list[Repair] = []
@@ -293,6 +316,8 @@ def enumerate_open_repairs(
             new.append(Repair(NEW_STEP, operator=op, effect_index=i))
             if first:
                 return new
+    if first:
+        return out  # steps are library instances: no schema unified, so no step effect can
 
     for st in plan.steps:
         if st.id in (START_ID, GOAL_ID) or st.id == flaw.step:
@@ -302,8 +327,6 @@ def enumerate_open_repairs(
         for eff in st.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
                 out.append(Repair(REUSE, step=st.id, effect=eff))
-                if first:
-                    return out
     out.extend(new)
     return out
 

@@ -9,24 +9,20 @@ inconsistency) and never touches the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-class Term:
+class Term(NamedTuple):
     """A constant (vid == -1) or a variable instance (vid >= 0).
 
     Variable ids are allocated per step instantiation and never reused
     within one search, so two steps never share a variable by accident.
-    Hand-rolled rather than a dataclass: equality and hashing sit on the
-    hottest paths of unification, so the hash is precomputed and
-    equality short-circuits on identity.
+    A named tuple, so that hashing and equality, which sit on the
+    hottest paths of unification, run in C; terms compare by value.
     """
 
-    __slots__ = ("name", "vid", "_hash")
-
-    def __init__(self, name: str, vid: int = -1):
-        self.name = name
-        self.vid = vid
-        self._hash = hash((vid, name))
+    name: str
+    vid: int = -1
 
     @property
     def is_variable(self) -> bool:
@@ -35,14 +31,6 @@ class Term:
     @property
     def key(self) -> tuple[int, str]:
         return (self.vid, self.name)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Term) and other.vid == self.vid and other.name == self.name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Term({self.name!r}, {self.vid})"
@@ -238,20 +226,22 @@ def _pairs_unifiable(pairs, store: BindingStore) -> bool:
     """Could all pairs be merged simultaneously?  Runs a throwaway union
     over current representatives without allocating stores; the class
     leader is kept on the constant whenever a group contains one so a
-    second constant is caught immediately."""
-    find = store.find
+    second constant is caught immediately.  Inlined (no find, no
+    is_variable, no _pair) because costing every open condition runs it."""
+    rep = store._rep
     neq = store._neq
     leader: dict[Term, Term] = {}
     members: dict[Term, list[Term]] = {}
     for x, y in pairs:
-        rx, ry = find(x), find(y)
+        rx = rep.get(x, x)
+        ry = rep.get(y, y)
         lx = leader.get(rx, rx)
         ly = leader.get(ry, ry)
         if lx == ly:
             continue
-        if not lx.is_variable and not ly.is_variable:
-            return False
-        if not ly.is_variable:
+        if ly.vid < 0:
+            if lx.vid < 0:
+                return False
             lx, ly = ly, lx
         gx = members.get(lx)
         if gx is None:
@@ -260,7 +250,7 @@ def _pairs_unifiable(pairs, store: BindingStore) -> bool:
         if neq:
             for a in gx:
                 for b in gy:
-                    if _pair(a, b) in neq:
+                    if (a, b) in neq or (b, a) in neq:
                         return False
         gx.extend(gy)
         for t in gy:

@@ -2,12 +2,16 @@
 
 from poclab.domains import bundled, parse_domain, parse_problem
 from poclab.flaws import (
+    _MEMO_SIZE,
     DEMOTE,
     FROM_START,
     NEW_STEP,
     PROMOTE,
     REUSE,
     SEPARATE,
+    _init_atoms,
+    _init_by_pred,
+    _library_effects,
     detect_new_threats,
     enumerate_open_repairs,
     enumerate_repairs,
@@ -22,6 +26,7 @@ from poclab.plan import (
     NONSEPARABLE,
     OPEN,
     SEPARABLE,
+    START_ID,
     CausalLink,
     Flaw,
     PartialPlan,
@@ -339,3 +344,33 @@ def test_exact_cost_equals_enumeration_everywhere():
     obs = Obs()
     plan_search(dom, probs[0], builtin("LCFR"), SearchConfig(node_limit=800), observer=obs)
     assert obs.samples > 40
+
+
+def test_init_index_follows_the_start_effects_object():
+    # two problems whose start effects are equal but distinct tuples
+    dom, probs = bundled("blocks")
+    starts = [make_skeletal_plan(dom, probs[0]).steps[START_ID].effects for _ in range(2)]
+    assert starts[0] == starts[1] and starts[0] is not starts[1]
+    _init_by_pred.memo.clear()
+    indexes = [_init_by_pred(effs) for effs in starts]
+    assert indexes[0] is not indexes[1]
+    for effs, index in zip(starts, indexes):
+        assert _init_by_pred(effs) is index
+        assert sorted(index) == sorted({l.pred for l in effs})
+        for pred, lits in index.items():
+            assert lits == tuple(l for l in effs if l.pred == pred)
+
+
+def test_identity_memos_stay_bounded_and_never_go_stale():
+    # Each tuple is dropped by the caller after one lookup; a memo that
+    # did not hold its key would see the id reused and answer stale.
+    for i in range(3 * _MEMO_SIZE):
+        effs = (lit("p", const(f"C{i}")), lit("q", const("A")))
+        assert _init_by_pred(effs) == {"p": effs[:1], "q": effs[1:]}
+        assert _init_atoms(effs) == {("p", (f"C{i}",)), ("q", ("A",))}
+        ops = bundled("blocks")[0].operators[: 1 + i % 3]
+        assert {op.name for cands in _library_effects(ops).values() for op, _, _ in cands} == {
+            op.name for op in ops
+        }
+        for memo in (_init_by_pred.memo, _init_atoms.memo, _library_effects.memo):
+            assert len(memo) <= _MEMO_SIZE

@@ -234,6 +234,10 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
                 assert len(first) == min(len(full), 1)
                 assert all(r in full for r in first)
                 self.dead += not full
+                # steps are library instances: reuse implies a new step,
+                # which is why the probe skips the step scan
+                kinds = {r.kind for r in full}
+                assert NEW_STEP in kinds or REUSE not in kinds
 
     obs = Obs()
     config = SearchConfig(rank=parse_rank(rank), node_limit=10000)

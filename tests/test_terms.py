@@ -5,9 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poclab.domains import SchemaLiteral
+from poclab.flaws import schema_effect_unifies
+from poclab.plan import instantiate_literal
 from poclab.terms import (
     EMPTY_STORE,
     Literal,
+    Term,
     args_unifiable,
     const,
     forced_complementary,
@@ -202,6 +206,73 @@ def test_merge_never_joins_disequal_classes(data):
     for cls in store.classes():
         constants = [t for t in cls if not t.is_variable]
         assert len(set(constants)) <= 1
+
+
+_POOL = [var(f"?v{i}", i) for i in range(6)] + [const("P"), const("Q"), const("R")]
+
+
+def _draw_store(data):
+    """A store built from random merges and disequalities over _POOL."""
+    store = EMPTY_STORE
+    for _ in range(data.draw(st.integers(0, 12))):
+        a = data.draw(st.sampled_from(_POOL))
+        b = data.draw(st.sampled_from(_POOL))
+        if data.draw(st.booleans()):
+            nxt = store.merge(a, b)
+        else:
+            nxt = store.require_distinct(a, b)
+        if nxt is not None:
+            store = nxt
+    return store
+
+
+def _draw_args(data, elements, n):
+    return tuple(data.draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_args_unifiable_agrees_with_unify(data):
+    # A small pool, so arguments repeat and constants mix in.  Every
+    # ordered pair of four literals is tried: a disequality is stored
+    # one way round, and a kernel that looks it up only one way round
+    # is caught when the pair reaches it the other way round.
+    store = _draw_store(data)
+    n = data.draw(st.integers(0, 4))
+    lits = [Literal(True, "p", _draw_args(data, _POOL, n)) for _ in range(4)]
+    for a in lits:
+        for b in lits:
+            assert args_unifiable(a, b, store) == (unify(a, b, store) is not None), (a, b, store)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_schema_effect_unifies_agrees_with_a_fresh_instance(data):
+    store = _draw_store(data)
+    n = data.draw(st.integers(0, 4))
+    cond = Literal(True, "p", _draw_args(data, _POOL, n))
+    eff = SchemaLiteral(True, "p", _draw_args(data, ["?a", "?b", "?c", "P", "Q", "S"], n))
+    fresh = {p: var(p, 100 + i) for i, p in enumerate(("?a", "?b", "?c"))}
+    expected = unify(cond, instantiate_literal(eff, fresh), store) is not None
+    assert schema_effect_unifies(cond, eff, store) == expected
+
+
+def test_term_equality_and_hash_follow_name_and_vid():
+    a, b = var("?q", 7), var("?q", 7)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert var("?q", 7) != var("?q", 8) and var("?q", 7) != var("?r", 7)
+    assert Term("A") == const("A") and hash(Term("A")) == hash(const("A"))
+    assert (Term("A").name, Term("A").vid) == ("A", -1)
+    assert const("A") is const("A")  # interned
+
+
+def test_term_order_and_display():
+    terms = [var("?b", 2), const("B"), var("?a", 2), const("A"), var("?z", 0)]
+    assert [str(t) for t in sorted(terms, key=lambda t: t.key)] == ["A", "B", "?z.0", "?a.2", "?b.2"]
+    assert var("?x", 3).key == (3, "?x") and const("A").key == (-1, "A")
+    assert var("?x", 0).is_variable and not const("A").is_variable
+    assert repr(var("?x", 3)) == "Term('?x', 3)" and repr(const("A")) == "Term('A', -1)"
 
 
 def test_term_and_literal_display():
