@@ -178,7 +178,8 @@ def _threat_kind(effect: Literal, condition: Literal, store: BindingStore, syste
         return None
     if effect.positive == condition.positive and not systematic:
         return None
-    if all(store.forced_equal(x, y) for x, y in zip(effect.args, condition.args)):
+    rep = store._rep
+    if all(rep.get(x, x) == rep.get(y, y) for x, y in zip(effect.args, condition.args)):
         return NONSEPARABLE
     if _pairs_unifiable(zip(effect.args, condition.args), store):
         return SEPARABLE
@@ -190,7 +191,7 @@ def _step_threatens_link(
 ) -> list[tuple[str, int, Literal, CausalLink]]:
     if step.id == link.producer or step.id == link.consumer:
         return []
-    if plan.precedes(step.id, link.producer) or plan.precedes(link.consumer, step.id):
+    if plan.orderings.precedes(step.id, link.producer) or plan.orderings.precedes(link.consumer, step.id):
         return []
     out = []
     for eff in step.effects:  # effects are distinct by construction
@@ -236,7 +237,7 @@ def refresh_flaw(plan: PartialPlan, flaw: Flaw) -> Flaw | None:
     if flaw.kind == OPEN:
         return flaw
     link = flaw.link
-    if plan.precedes(flaw.step, link.producer) or plan.precedes(link.consumer, flaw.step):
+    if plan.orderings.precedes(flaw.step, link.producer) or plan.orderings.precedes(link.consumer, flaw.step):
         return None
     # systematic=True only widens the test to same-sign pairs, and a
     # same-sign flaw can only exist if that mode created it.
@@ -253,28 +254,17 @@ def refresh_agenda(plan: PartialPlan) -> PartialPlan:
     Returns the same object when nothing changed."""
     refreshed: list[Flaw] = []
     changed = False
-    vanished_threats = 0
     for f in plan.agenda:
         r = refresh_flaw(plan, f)
         if r is None:
             changed = True
-            vanished_threats += 1
             continue
         if r is not f:
             changed = True
         refreshed.append(r)
     if not changed:
         return plan
-    return PartialPlan(
-        plan.steps,
-        plan.links,
-        plan.orderings,
-        plan.bindings,
-        tuple(refreshed),
-        plan.n_steps,
-        plan.n_open,
-        plan.n_threats - vanished_threats,
-    )
+    return PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, tuple(refreshed))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,7 @@ def enumerate_open_repairs(
     for st in plan.steps:
         if st.id in (START_ID, GOAL_ID) or st.id == flaw.step:
             continue
-        if plan.precedes(flaw.step, st.id):
+        if plan.orderings.precedes(flaw.step, st.id):
             continue
         for eff in st.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
@@ -338,11 +328,11 @@ def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False)
     as soon as one repair is found."""
     link = flaw.link
     out: list[Repair] = []
-    if not plan.precedes(flaw.step, link.consumer):
+    if not plan.orderings.precedes(flaw.step, link.consumer):
         out.append(_PROMOTE)
         if first:
             return out
-    if not plan.precedes(link.producer, flaw.step):
+    if not plan.orderings.precedes(link.producer, flaw.step):
         out.append(_DEMOTE)
         if first:
             return out

@@ -146,29 +146,27 @@ class OrderingStore:
 
 @dataclass(frozen=True)
 class PartialPlan:
-    """One search node.  n_steps / n_open / n_threats are the ranking
-    inputs (steps excluding the two dummies, agenda opens, agenda
-    threats), maintained incrementally and always equal to a recount."""
+    """One search node.  n_steps / n_open / n_threats, the S / OC / UC
+    ranking inputs (steps excluding the two dummies, agenda opens,
+    agenda threats), are computed from the parts, not maintained."""
 
     steps: tuple[Step, ...]
     links: tuple[CausalLink, ...]
     orderings: OrderingStore
     bindings: BindingStore
     agenda: tuple[Flaw, ...]
-    n_steps: int
-    n_open: int
-    n_threats: int
 
-    def precedes(self, a: int, b: int) -> bool:
-        return self.orderings.precedes(a, b)
+    @property
+    def n_steps(self) -> int:
+        return len(self.steps) - 2  # step ids are dense, start and goal first
 
+    @property
+    def n_open(self) -> int:
+        return sum(1 for f in self.agenda if f.kind == OPEN)
 
-def recount(plan: PartialPlan) -> tuple[int, int, int]:
-    """From-scratch (S, OC, UC) for the counter-consistency checks."""
-    s = sum(1 for st in plan.steps if st.id not in (START_ID, GOAL_ID))
-    oc = sum(1 for f in plan.agenda if f.kind == OPEN)
-    uc = len(plan.agenda) - oc
-    return s, oc, uc
+    @property
+    def n_threats(self) -> int:
+        return len(self.agenda) - self.n_open
 
 
 def instantiate_literal(schema: SchemaLiteral, mapping: dict[str, Term]) -> Literal:
@@ -223,9 +221,6 @@ def make_skeletal_plan(
         orderings=OrderingStore.initial(),
         bindings=EMPTY_STORE,
         agenda=agenda,
-        n_steps=0,
-        n_open=len(agenda),
-        n_threats=0,
     )
 
 
@@ -238,10 +233,7 @@ def add_ordering(plan: PartialPlan, before: int, after: int) -> PartialPlan | No
         return None
     if orderings is plan.orderings:
         return plan
-    return PartialPlan(
-        plan.steps, plan.links, orderings, plan.bindings, plan.agenda,
-        plan.n_steps, plan.n_open, plan.n_threats,
-    )
+    return PartialPlan(plan.steps, plan.links, orderings, plan.bindings, plan.agenda)
 
 
 def linearize(plan: PartialPlan) -> list[int]:

@@ -112,7 +112,8 @@ def parse_rank(text: str) -> RankWeights:
 
 
 def rank(plan: PartialPlan, w: RankWeights) -> int | Fraction:
-    return w.w_steps * plan.n_steps + w.w_open * plan.n_open + w.w_threats * plan.n_threats
+    n_open = plan.n_open  # counted once: the threats are the rest of the agenda
+    return w.w_steps * plan.n_steps + w.w_open * n_open + w.w_threats * (len(plan.agenda) - n_open)
 
 
 @dataclass(frozen=True)
@@ -184,17 +185,9 @@ class SearchContext:
 
 def _without(agenda: tuple[Flaw, ...], flaw: Flaw) -> tuple[Flaw, ...]:
     out = tuple(f for f in agenda if f is not flaw)
-    if len(out) < len(agenda):
-        return out
-    res, dropped = [], False
-    for f in agenda:
-        if not dropped and f == flaw:
-            dropped = True
-            continue
-        res.append(f)
-    if not dropped:
+    if len(out) == len(agenda):
         raise ValueError("selected flaw is not on the agenda")
-    return tuple(res)
+    return out
 
 
 def _with_cached_costs(plan: PartialPlan, n_new: int, domain: Domain) -> PartialPlan:
@@ -230,10 +223,7 @@ def _apply_repair(
             orderings = orderings.with_ordering(flaw.step, flaw.link.producer)
         else:
             bindings = bindings.require_distinct(*repair.pair)
-        return PartialPlan(
-            plan.steps, plan.links, orderings, bindings, rest,
-            plan.n_steps, plan.n_open, plan.n_threats - 1,
-        )
+        return PartialPlan(plan.steps, plan.links, orderings, bindings, rest)
 
     gen = ctx.generation
     if repair.kind == NEW_STEP:
@@ -256,16 +246,13 @@ def _apply_repair(
     child = PartialPlan(
         steps, plan.links + (link,), orderings.with_ordering(producer, flaw.step), bindings,
         rest + opens,
-        plan.n_steps + (new_step is not None), plan.n_open - 1 + len(opens), plan.n_threats,
     )
     threats = detect_new_threats(child, new_step, link, config.systematic)
     if threats:
         flaws = tuple(
             Flaw(kind, sid, lit, lk, ctx.stamps.take()) for kind, sid, lit, lk in threats
         )
-        child = replace(
-            child, agenda=child.agenda + flaws, n_threats=child.n_threats + len(flaws)
-        )
+        child = replace(child, agenda=child.agenda + flaws)
     if cached:
         child = _with_cached_costs(child, len(opens) + len(threats), domain)
     return child

@@ -27,11 +27,7 @@ def plan_with(steps=(), links=(), order_pairs=(), bindings=EMPTY_STORE, agenda=(
     for a, b in order_pairs:
         o = o.with_ordering(a, b)
         assert o is not None
-    agenda = tuple(agenda)
-    oc = sum(1 for f in agenda if f.kind == "o")
-    return PartialPlan(
-        all_steps, tuple(links), o, bindings, agenda, len(steps), oc, len(agenda) - oc
-    )
+    return PartialPlan(all_steps, tuple(links), o, bindings, tuple(agenda))
 
 
 def separable_threat_fixture():

@@ -54,10 +54,7 @@ def test_separable_threat_has_five_repairs():
 def test_separations_skip_forced_equal_positions():
     plan, flaw = separable_threat_fixture()
     bound = plan.bindings.merge(x, t)
-    plan2 = PartialPlan(
-        plan.steps, plan.links, plan.orderings, bound, plan.agenda,
-        plan.n_steps, plan.n_open, plan.n_threats,
-    )
+    plan2 = PartialPlan(plan.steps, plan.links, plan.orderings, bound, plan.agenda)
     repairs = enumerate_threat_repairs(plan2, flaw)
     assert [r.pair for r in repairs if r.kind == SEPARATE] == [(y, u), (z, v)]
 
@@ -215,10 +212,7 @@ def test_negative_open_closed_world():
     assert [r.kind for r in enumerate_open_repairs(plan, present, dom)] == [NEW_STEP]
     # lifted negative conditions never match the closed world
     lifted = Flaw(OPEN, GOAL_ID, lit("p", x, positive=False), None, inserted_at=9)
-    with_lifted = PartialPlan(
-        plan.steps, plan.links, plan.orderings, plan.bindings,
-        (lifted,), plan.n_steps, 1, 0,
-    )
+    with_lifted = PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, (lifted,))
     assert [r.kind for r in enumerate_open_repairs(with_lifted, lifted, dom)] == [NEW_STEP]
 
 
@@ -227,32 +221,27 @@ def test_refresh_vanish_reclassify_and_live():
     assert refresh_flaw(plan, flaw) is flaw  # still live, still separable
 
     blocked = plan.bindings.require_distinct(x, t)
-    p2 = PartialPlan(plan.steps, plan.links, plan.orderings, blocked, plan.agenda,
-                     plan.n_steps, plan.n_open, plan.n_threats)
+    p2 = PartialPlan(plan.steps, plan.links, plan.orderings, blocked, plan.agenda)
     assert refresh_flaw(p2, flaw) is None  # its only unifier is blocked
 
     forced = plan.bindings.merge(x, t).merge(y, u).merge(z, v)
-    p3 = PartialPlan(plan.steps, plan.links, plan.orderings, forced, plan.agenda,
-                     plan.n_steps, plan.n_open, plan.n_threats)
+    p3 = PartialPlan(plan.steps, plan.links, plan.orderings, forced, plan.agenda)
     refreshed = refresh_flaw(p3, flaw)
     assert refreshed is not None and refreshed.kind == NONSEPARABLE
     assert refreshed.inserted_at == flaw.inserted_at
 
     # an independent ordering that imposes promotion makes it vanish
     promoted = plan.orderings.with_ordering(3, 4)
-    p4 = PartialPlan(plan.steps, plan.links, promoted, plan.bindings, plan.agenda,
-                     plan.n_steps, plan.n_open, plan.n_threats)
+    p4 = PartialPlan(plan.steps, plan.links, promoted, plan.bindings, plan.agenda)
     assert refresh_flaw(p4, flaw) is None
 
 
 def test_refresh_agenda_counts_and_identity():
     plan, flaw = separable_threat_fixture()
-    with_agenda = PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings,
-                              (flaw,), plan.n_steps, 0, 1)
+    with_agenda = PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, (flaw,))
     assert refresh_agenda(with_agenda) is with_agenda
     blocked = plan.bindings.require_distinct(x, t)
-    p2 = PartialPlan(plan.steps, plan.links, plan.orderings, blocked, (flaw,),
-                     plan.n_steps, 0, 1)
+    p2 = PartialPlan(plan.steps, plan.links, plan.orderings, blocked, (flaw,))
     refreshed = refresh_agenda(p2)
     assert refreshed.agenda == () and refreshed.n_threats == 0
 

@@ -1,12 +1,23 @@
 """The refinement loop: ranking, refinements, pruning, limits, toggles."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import plan_with, separable_threat_fixture
 from poclab.domains import bundled, parse_domain, parse_problem
-from poclab.plan import OPEN, Flaw, make_skeletal_plan, serialize, validate_solution
+from poclab.plan import (
+    GOAL_ID,
+    NONSEPARABLE,
+    OPEN,
+    CausalLink,
+    Flaw,
+    Step,
+    make_skeletal_plan,
+    serialize,
+    validate_solution,
+)
 from poclab.search import (
     EXHAUSTED,
     NODE_LIMIT,
@@ -25,8 +36,13 @@ from poclab.terms import const, lit
 
 
 def test_rank_weighted_sums():
-    p = plan_with()  # counters come from the constructor
-    p = p.__class__(p.steps, p.links, p.orderings, p.bindings, p.agenda, 2, 3, 1)
+    q, not_q = lit("q", const("A")), lit("q", const("A"), positive=False)
+    a, b = Step(2, "a", (), (), (q,), 0), Step(3, "b", (), (), (not_q,), 0)
+    link = CausalLink(2, q, GOAL_ID, 0)
+    opens = [Flaw(OPEN, GOAL_ID, lit("p", const(n)), None, i) for i, n in enumerate("ABC")]
+    threat = Flaw(NONSEPARABLE, 3, not_q, link, 3)
+    p = plan_with(steps=(a, b), links=(link,), agenda=opens + [threat])
+    assert (p.n_steps, p.n_open, p.n_threats) == (2, 3, 1)
     assert rank(p, parse_rank("S+OC")) == 5
     assert rank(p, parse_rank("S+OC+UC")) == 6
     assert type(rank(p, parse_rank("S+OC"))) is int
@@ -112,15 +128,21 @@ def test_refinement_count_matches_repair_cost():
 
 def test_separable_threat_yields_five_children():
     plan, flaw = separable_threat_fixture()
-    plan = plan.__class__(
-        plan.steps, plan.links, plan.orderings, plan.bindings, (flaw,),
-        plan.n_steps, 0, 1,
-    )
+    plan = plan.__class__(plan.steps, plan.links, plan.orderings, plan.bindings, (flaw,))
     dom, _ = bundled("blocks")
     kids = refinements(plan, flaw, dom)
     assert len(kids) == 5
     for kid in kids:
         assert flaw not in kid.agenda
+
+
+def test_refinements_rejects_a_flaw_not_on_the_agenda():
+    dom, probs = bundled("blocks")
+    plan = make_skeletal_plan(dom, probs[0])
+    copy = replace(plan.agenda[0])  # equal to an agenda flaw, but not that flaw
+    assert copy == plan.agenda[0] and copy is not plan.agenda[0]
+    with pytest.raises(ValueError, match="not on the agenda"):
+        refinements(plan, copy, dom)
 
 
 def test_reverse_flag_reverses_new_step_preconditions():
