@@ -180,6 +180,9 @@ def run_matrix(
     names = [p.name for _, p in tasks]
     if len(set(names)) != len(names):
         raise ValueError("problem names must be unique across the matrix")
+    labels = [_strategy_label(s) for s in strategies]
+    if len(set(labels)) != len(labels):
+        raise ValueError("strategy labels must be unique across the matrix")
     for kind in limit_kinds:
         if kind == NODE_KIND and config.node_limit is None:
             raise ValueError("node pass requested but config.node_limit is unset")

@@ -1,17 +1,18 @@
-"""Flaw detection, threat classification, repair enumeration, and costs.
+"""Flaw detection, threat classification, repair enumeration, and the dead-end probe.
 
 The repair cost of an open condition is I + S + N: establishers in the
 initial state, in effects of existing steps not ordered after the open's
 own step, and in effects of library operators.  Threats cost at most two
 (promotion, demotion) plus, for separable threats, one separation per
 argument pair not already forced equal.  Threat liveness is re-validated
-lazily (at selection and at cost computation), not eagerly on every
-constraint addition.
+lazily, when the search refreshes a popped node's agenda, not eagerly on
+every constraint addition.
 
 The costs, the refinements and the dead-end probe share one scan per
 flaw kind: a cost is the length of the enumeration, each enumerated
 repair becomes a child, and the probe is the enumeration stopped at its
-first hit.
+first hit.  Each flaw is enumerated at most once per node: the search
+keeps a node's repair lists in one strategies.RepairTable.
 """
 
 from __future__ import annotations
@@ -360,19 +361,7 @@ def enumerate_repairs(plan: PartialPlan, flaw: Flaw, domain: Domain) -> list[Rep
 
 
 # ---------------------------------------------------------------------------
-# costs and dead-end probes
-
-
-def repair_cost(plan: PartialPlan, flaw: Flaw, domain: Domain, mode: str = "exact") -> int:
-    """Exact mode counts repairs after refreshing the flaw; cached mode
-    returns the insertion-time cost unchanged, whatever has happened to
-    the plan since."""
-    if mode == "cached" and flaw.cached_cost is not None:
-        return flaw.cached_cost
-    live = refresh_flaw(plan, flaw)
-    if live is None:
-        raise ValueError("cannot cost a vanished flaw")
-    return len(enumerate_repairs(plan, live, domain))
+# dead-end probe
 
 
 def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:

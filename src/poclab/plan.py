@@ -224,18 +224,6 @@ def make_skeletal_plan(
     )
 
 
-def add_ordering(plan: PartialPlan, before: int, after: int) -> PartialPlan | None:
-    """New plan with before ≺ after, or None on a cycle."""
-    if before >= len(plan.steps) or after >= len(plan.steps):
-        raise IndexError("unknown step id")
-    orderings = plan.orderings.with_ordering(before, after)
-    if orderings is None:
-        return None
-    if orderings is plan.orderings:
-        return plan
-    return PartialPlan(plan.steps, plan.links, orderings, plan.bindings, plan.agenda)
-
-
 def linearize(plan: PartialPlan) -> list[int]:
     """Deterministic topological order (ties broken by ascending id)."""
     n = len(plan.steps)

@@ -43,7 +43,7 @@ from .plan import (
     make_skeletal_plan,
     validate_solution,
 )
-from .strategies import Strategy, select_flaw
+from .strategies import RepairTable, Strategy, select_flaw
 from .terms import unify
 
 SOLVED = "solved"
@@ -264,13 +264,15 @@ def refinements(
     domain: Domain,
     config: SearchConfig | None = None,
     ctx: SearchContext | None = None,
+    table: RepairTable | None = None,
 ) -> list[PartialPlan]:
-    """One child per enumerated repair of `flaw` (assumed refreshed)."""
+    """One child per repair of `flaw` (assumed refreshed) in `table`, or in a fresh one."""
     config = config or SearchConfig()
     ctx = ctx or SearchContext.resuming(plan)
+    table = table or RepairTable(plan, domain)
     cached = config.cost_mode == "cached"
     children = []
-    for repair in enumerate_repairs(plan, flaw, domain):
+    for repair in table.repairs(flaw):
         ctx.generation += 1
         children.append(_apply_repair(plan, flaw, repair, domain, config, ctx, cached))
     return children
@@ -352,18 +354,17 @@ def plan_search(
         ):
             stats.nodes_pruned += 1
             continue
+        table = RepairTable(node, domain)  # each flaw enumerated at most once per node
         if config.dmin_check:
             nonsep = [f for f in node.agenda if f.kind == NONSEPARABLE]
-            if nonsep and all(
-                len(enumerate_repairs(node, f, domain)) >= 2 for f in nonsep
-            ):
+            if nonsep and all(len(table.repairs(f)) >= 2 for f in nonsep):
                 if not dmin_feasible(node):
                     stats.nodes_pruned += 1
                     continue
 
-        flaw = select_flaw(strategy, node, domain, rng, cost_mode)
+        flaw = select_flaw(strategy, node, domain, rng, cost_mode, table)
         stats.nodes_expanded += 1
-        children = refinements(node, flaw, domain, config, ctx)
+        children = refinements(node, flaw, domain, config, ctx, table)
         if observer is not None and hasattr(observer, "on_expand"):
             observer.on_expand(node, flaw, children)
         for child in children:

@@ -20,7 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 from .domains import Domain
-from .flaws import FROM_START, NEW_STEP, REUSE, enumerate_open_repairs, enumerate_repairs
+from .flaws import FROM_START, NEW_STEP, REUSE, Repair, enumerate_repairs
+from .flaws import enumerate_open_repairs  # noqa: F401  -- unused here; perfbench's tracer patches it
 from .plan import OPEN, Flaw, PartialPlan
 
 FLAW_TYPES = ("o", "n", "s")
@@ -259,16 +260,37 @@ def describe_builtins() -> list[tuple[str, str]]:
 # selection
 
 
+class RepairTable:
+    """One node's repair lists, each flaw enumerated at most once.  Keyed
+    by flaw identity (agenda entries are distinct objects); each entry
+    holds its flaw, so the id cannot be reused while the table lives."""
+
+    def __init__(self, plan: PartialPlan, domain: Domain):
+        self.plan = plan
+        self.domain = domain
+        self._lists: dict[int, tuple[Flaw, list[Repair]]] = {}
+
+    def repairs(self, flaw: Flaw) -> list[Repair]:
+        hit = self._lists.get(id(flaw))
+        if hit is None:
+            hit = self._lists[id(flaw)] = (flaw, enumerate_repairs(self.plan, flaw, self.domain))
+        return hit[1]
+
+    def cost(self, flaw: Flaw, cached: bool = False) -> int:
+        """The one definition of a repair cost: with cached costs, the
+        insertion-time cost if the flaw has one; else its repair count."""
+        if cached and flaw.cached_cost is not None:
+            return flaw.cached_cost
+        return len(self.repairs(flaw))
+
+
 _NEW_RANKS = {NEW_STEP: 0, REUSE: 1, FROM_START: 2}
 
 
-def _new_step_rank(plan: PartialPlan, flaw: Flaw, domain: Domain) -> int:
-    """Preference order for 'New': flaws whose sole repair adds a new
-    step come first, then sole-reuse, then sole-initial-state; anything
-    with several repairs (or a threat) ranks last."""
-    if flaw.kind != OPEN:
-        return 3
-    repairs = enumerate_open_repairs(plan, flaw, domain)
+def _new_step_rank(repairs: list[Repair]) -> int:
+    """Preference order for 'New' given an open condition's repairs: a
+    sole new step comes first, then sole reuse, then sole initial
+    state; several repairs rank 3, the rank select_flaw gives threats."""
     if len(repairs) != 1:
         return 3
     return _NEW_RANKS.get(repairs[0].kind, 3)
@@ -280,32 +302,24 @@ def select_flaw(
     domain: Domain,
     rng: random.Random | None = None,
     cost_mode: str = "exact",
+    table: RepairTable | None = None,
 ) -> Flaw:
     """Pick the flaw to repair from a refreshed, non-empty agenda.
 
     Costs are computed only for flaws whose type matches a preference
     that actually needs them (a cost range, LC, or New), so cheap
-    strategies stay cheap.
+    strategies stay cheap.  They are read from `table` (the search
+    shares the node's table with refinement), or a fresh one.
     """
     if not plan.agenda:
         raise ValueError("agenda is empty")
-    if strategy.cached_costs:
-        cost_mode = "cached"
-    costs: dict[int, int] = {}  # id(flaw) -> cost; agenda entries are distinct objects
-
-    def cost(f: Flaw) -> int:
-        c = costs.get(id(f))
-        if c is None:
-            if cost_mode == "cached" and f.cached_cost is not None:
-                c = f.cached_cost
-            else:
-                c = len(enumerate_repairs(plan, f, domain))
-            costs[id(f)] = c
-        return c
+    table = table or RepairTable(plan, domain)
+    cached = strategy.cached_costs or cost_mode == "cached"
+    cost = table.cost
 
     for pref in strategy.prefs:
         if pref.has_range:
-            matches = [f for f in plan.agenda if f.kind in pref.types and pref.matches_cost(cost(f))]
+            matches = [f for f in plan.agenda if f.kind in pref.types and pref.matches_cost(cost(f, cached))]
         else:
             matches = [f for f in plan.agenda if f.kind in pref.types]
         if not matches:
@@ -318,9 +332,12 @@ def select_flaw(
         if tb == "FIFO":
             return min(matches, key=lambda f: f.inserted_at)
         if tb == "LC":
-            return min(matches, key=lambda f: (cost(f), -f.inserted_at))
+            return min(matches, key=lambda f: (cost(f, cached), -f.inserted_at))
         if tb == "New":
-            return min(matches, key=lambda f: (_new_step_rank(plan, f, domain), -f.inserted_at))
+            return min(
+                matches,
+                key=lambda f: (_new_step_rank(table.repairs(f)) if f.kind == OPEN else 3, -f.inserted_at),
+            )
         if tb == "R":
             if rng is None:
                 raise ValueError("strategy uses random tie-breaking; an rng is required")

@@ -33,18 +33,16 @@ from poclab.flaws import (
     enumerate_repairs,
     enumerate_threat_repairs,
     refresh_flaw,
-    repair_cost,
 )
 from poclab.plan import (
     NONSEPARABLE,
     OPEN,
     Flaw,
     Step,
-    add_ordering,
     validate_solution,
 )
 from poclab.search import SearchConfig, parse_rank, plan_search
-from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
+from poclab.strategies import RepairTable, builtin, builtin_names, parse_strategy, select_flaw
 from poclab.terms import const, lit
 
 LIMIT = 10000
@@ -518,9 +516,10 @@ def test_criterion_10_cached_cost_divergence():
     assert insertion_cost == 2
 
     # promote the candidate producer past the consumer
-    moved = add_ordering(cached_plan, 3, 2)
-    exact = repair_cost(moved, flaw, dom, mode="exact")
-    cached = repair_cost(moved, flaw, dom, mode="cached")
+    moved = replace(cached_plan, orderings=cached_plan.orderings.with_ordering(3, 2))
+    table = RepairTable(moved, dom)
+    exact = table.cost(flaw)
+    cached = table.cost(flaw, cached=True)
     ok = exact == 1 and cached == insertion_cost
     report("10 cached-cost divergence", ok, f"insertion={insertion_cost}, exact-after-promotion={exact}, cached={cached}")
     assert ok

@@ -124,6 +124,8 @@ def test_run_matrix_validation():
         run_matrix([], [builtin("LCFR")], SearchConfig(node_limit=10))
     with pytest.raises(ValueError, match="unique"):
         run_matrix(tasks + tasks, [builtin("LCFR")], SearchConfig(node_limit=10))
+    with pytest.raises(ValueError, match="strategy labels must be unique"):
+        run_matrix(tasks, [builtin("LCFR"), builtin("lcfr")], SearchConfig(node_limit=10))
     with pytest.raises(ValueError, match="node_limit"):
         run_matrix(tasks, [builtin("LCFR")], SearchConfig(time_limit=1.0), limit_kinds=(NODE_KIND,))
     with pytest.raises(ValueError, match="time_limit"):

@@ -181,6 +181,18 @@ def test_bench_rejects_jobs_below_one(capsys, jobs):
     assert out == ""
 
 
+def test_bench_rejects_duplicate_strategy_labels(capsys):
+    # LCFR and lcfr name the same builtin: its rows would be written twice
+    code, out, err = run(
+        capsys,
+        "bench", "--bundled", "blocks", "--strategies", "LCFR,lcfr,UCPOP",
+        "--node-limit", "200", "--out", "-",
+    )
+    assert code == 2
+    assert "strategy labels must be unique" in err
+    assert out == ""
+
+
 def test_bench_requires_some_limit(capsys):
     code, out, err = run(capsys, "bench", "--bundled", "blocks", "--out", "-")
     assert code == 2

@@ -19,7 +19,6 @@ from poclab.flaws import (
     has_any_repair,
     refresh_agenda,
     refresh_flaw,
-    repair_cost,
 )
 from poclab.plan import (
     GOAL_ID,
@@ -34,7 +33,7 @@ from poclab.plan import (
     make_skeletal_plan,
 )
 from poclab.search import SearchConfig, plan_search, refinements
-from poclab.strategies import builtin
+from poclab.strategies import RepairTable, builtin
 from poclab.terms import const, forced_complementary, lit, var
 from helpers import plan_with, separable_threat_fixture
 
@@ -159,7 +158,7 @@ def test_open_repair_categories_and_cost():
     flaw = plan.agenda[0]
     repairs = enumerate_open_repairs(plan, flaw, MINI2)
     assert [r.kind for r in repairs] == [FROM_START, NEW_STEP]  # I=1, S=0, N=1
-    assert repair_cost(plan, flaw, MINI2) == 2 == len(repairs)
+    assert RepairTable(plan, MINI2).cost(flaw) == 2 == len(repairs)
 
 
 def test_open_repair_excludes_steps_ordered_after_consumer():
@@ -183,7 +182,7 @@ def test_unmatchable_open_is_a_dead_end():
     )
     plan = make_skeletal_plan(MINI2, prob)
     assert enumerate_open_repairs(plan, plan.agenda[0], MINI2) == []
-    assert repair_cost(plan, plan.agenda[0], MINI2) == 0
+    assert RepairTable(plan, MINI2).cost(plan.agenda[0]) == 0
     assert not has_any_repair(plan, plan.agenda[0], MINI2)
 
 
@@ -251,11 +250,11 @@ def test_cached_cost_survives_plan_changes():
     consumer = Step(3, "needs", (), (lit("on", A, B),), (), 0)
     open_flaw = Flaw(OPEN, 3, lit("on", A, B), None, inserted_at=0, cached_cost=2)
     base = plan_with(steps=(producer, consumer), agenda=(open_flaw,))
-    assert repair_cost(base, open_flaw, MINI2, mode="exact") == 2
+    assert RepairTable(base, MINI2).cost(open_flaw) == 2
     # order the reuse candidate away: exact cost drops, cached does not
     moved = plan_with(steps=(producer, consumer), order_pairs=((3, 2),), agenda=(open_flaw,))
-    assert repair_cost(moved, open_flaw, MINI2, mode="exact") == 1
-    assert repair_cost(moved, open_flaw, MINI2, mode="cached") == 2
+    assert RepairTable(moved, MINI2).cost(open_flaw) == 1
+    assert RepairTable(moved, MINI2).cost(open_flaw, cached=True) == 2
 
 
 def test_open_cost_can_increase_when_steps_arrive():
@@ -276,11 +275,11 @@ def test_open_cost_can_increase_when_steps_arrive():
     )
     plan = make_skeletal_plan(dom, prob)
     first, second = plan.agenda
-    before = repair_cost(plan, second, dom)  # two fresh swap effects unify
+    before = RepairTable(plan, dom).cost(second)  # two fresh swap effects unify
     child = refinements(plan, first, dom)[0]  # establish (on A B) by a new swap
     assert child.n_steps == 1
     # the new step's second effect is now ground (on B A): reuse appears
-    after = repair_cost(child, second, dom)
+    after = RepairTable(child, dom).cost(second)
     assert after == before + 1
 
 
@@ -327,7 +326,7 @@ def test_exact_cost_equals_enumeration_everywhere():
             for f in plan.agenda[:3]:
                 live = refresh_flaw(plan, f)
                 if live is not None:
-                    assert repair_cost(plan, f, dom) == len(enumerate_repairs(plan, live, dom))
+                    assert RepairTable(plan, dom).cost(f) == len(enumerate_repairs(plan, live, dom))
                     self.samples += 1
 
     obs = Obs()

@@ -1,12 +1,15 @@
 """The refinement loop: ranking, refinements, pruning, limits, toggles."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import plan_with, separable_threat_fixture
-from poclab.domains import bundled, parse_domain, parse_problem
+from poclab import search, strategies
+from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.plan import (
     GOAL_ID,
     NONSEPARABLE,
@@ -31,7 +34,7 @@ from poclab.search import (
     rank,
     refinements,
 )
-from poclab.strategies import builtin, builtin_names, parse_strategy
+from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
 from poclab.terms import const, lit
 
 
@@ -195,6 +198,84 @@ def test_dmin_feasible():
     # threat fa2 is step 4 against link 2->3: promotion (3 before 4)
     # cycles, demotion (4 before 2) cycles: infeasible
     assert not dmin_feasible(both)
+
+
+@pytest.mark.parametrize(
+    "name, domain, problem, config, exercised",
+    [
+        ("LCFR", "tileworld", "tileworld-2", SearchConfig(), None),
+        # {o}1 New sees several matches, so New ranks them by their repairs
+        ("ZLIFO", "briefcase", "get-paid", SearchConfig(), (strategies, "_new_step_rank")),
+        # the dmin test enumerates nonseparable threats before selection
+        ("UCPOP", "blocks", "invert4", SearchConfig(dmin_check=True), (search, "dmin_feasible")),
+    ],
+)
+def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain, problem, config, exercised):
+    """Selection, New tie-breaking, the dmin test and refinement share
+    one repair list per (node, flaw); selecting with it picks the flaw
+    that selecting afresh picks."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    strategy = builtin(name)
+    enumerated = []  # (node, flaw) of each full enumeration since the last expansion
+
+    def counted(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(args[:2])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in (
+        (search, "enumerate_repairs"),
+        (strategies, "enumerate_repairs"),
+        (strategies, "enumerate_open_repairs"),
+    ):
+        monkeypatch.setattr(owner, attr, counted(getattr(owner, attr), enumerated))
+    calls = []
+    if exercised is not None:
+        monkeypatch.setattr(*exercised, counted(getattr(*exercised), calls))
+
+    class Check:
+        expansions = 0
+
+        def on_expand(self, node, flaw, children):
+            self.expansions += 1
+            pairs = [(id(plan), id(f)) for plan, f in enumerated]  # both held by `enumerated`
+            assert len(set(pairs)) == len(pairs), f"expansion {self.expansions} enumerated a flaw twice"
+            assert select_flaw(strategy, node, dom, None, config.cost_mode) is flaw
+            enumerated.clear()
+
+    check = Check()
+    out = plan_search(dom, prob, strategy, config, observer=check)
+    assert out.solved and check.expansions > 5
+    assert exercised is None or calls
+
+
+GOLDEN_TOGGLED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-toggled.json"
+# the sweep-toggled workload's search toggles (perfbench/workloads.py)
+TOGGLES = {"cost_mode": "cached", "dmin_check": True, "systematic": True}
+
+
+def test_toggled_sweep_small_cells_match_golden():
+    """Every sweep-toggled cell under 1,000 golden nodes keeps the
+    benchmark's recorded (status, generated, expanded, pruned): the
+    cached-cost, dmin and systematic paths that criterion 1 never runs."""
+    problems = {p.name: (dom, p) for d in bundled_names() for dom, probs in [bundled(d)] for p in probs}
+    cells = json.loads(GOLDEN_TOGGLED.read_text())["cells"]
+    small = {key: want for key, want in cells.items() if want["generated"] < 1000}
+    mismatched = []
+    for key, want in small.items():
+        name, problem, rank_text = key.split("|")
+        dom, prob = problems[problem]
+        config = SearchConfig(rank=parse_rank(rank_text), node_limit=10000, **TOGGLES)
+        out = plan_search(dom, prob, builtin(name), config)
+        st = out.stats
+        got = (out.status, st.nodes_generated, st.nodes_expanded, st.nodes_pruned)
+        if got != (want["status"], want["generated"], want["expanded"], want["pruned"]):
+            mismatched.append(f"{key}: {got}")
+    assert not mismatched, f"node counts differ from golden: {mismatched}"
+    assert len({key.split("|")[0] for key in small}) == 6
+    assert any(want["pruned"] for want in small.values())
 
 
 def test_dmin_pruning_is_sound():
