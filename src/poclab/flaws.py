@@ -11,8 +11,11 @@ every constraint addition.
 The costs, the refinements and the dead-end probe share one scan per
 flaw kind: a cost is the length of the enumeration, each enumerated
 repair becomes a child, and the probe is the enumeration stopped at its
-first hit.  Each flaw is enumerated at most once per node: the search
-keeps a node's repair lists in one strategies.RepairTable.
+first hit.  An open condition is enumerated once per lineage and
+re-checked per delta: a refinement only adds constraints, so a child
+derives the condition's repairs from its parent's list
+(rederive_open_repairs).  The search keeps a node's repair lists in one
+strategies.RepairTable.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class Repair(NamedTuple):
 
     kind: str
     step: int = -1                       # reuse: producing step id
-    effect: Literal | None = None        # init / reuse: the matched effect
+    effect: Literal | SchemaLiteral | None = None  # init / reuse: the matched effect; new-step: its schema
     operator: Operator | None = None     # new-step
     effect_index: int = -1               # new-step: which distinct operator effect
     pair: tuple[Term, Term] | None = None  # separate: terms to force apart
@@ -304,22 +307,115 @@ def enumerate_open_repairs(
     new: list[Repair] = []
     for op, i, eff in _library_effects(domain.operators).get((cond.pred, cond.positive), ()):
         if schema_effect_unifies(cond, eff, store):
-            new.append(Repair(NEW_STEP, operator=op, effect_index=i))
+            new.append(Repair(NEW_STEP, effect=eff, operator=op, effect_index=i))
             if first:
                 return new
     if first:
         return out  # steps are library instances: no schema unified, so no step effect can
 
-    for st in plan.steps:
-        if st.id in (START_ID, GOAL_ID) or st.id == flaw.step:
-            continue
-        if plan.orderings.precedes(flaw.step, st.id):
+    _append_reuse(out, plan, flaw, GOAL_ID + 1)
+    out.extend(new)
+    return out
+
+
+def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: int) -> None:
+    """Append the reuse of steps first_step, first_step + 1, ... (the
+    dummies excluded) for an open condition, in step id order."""
+    cond = flaw.literal
+    store = plan.bindings
+    precedes = plan.orderings.precedes
+    for st in plan.steps[first_step:]:
+        if st.id == flaw.step or precedes(flaw.step, st.id):
             continue
         for eff in st.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
                 out.append(Repair(REUSE, step=st.id, effect=eff))
-    out.extend(new)
-    return out
+
+
+class Delta(NamedTuple):
+    """What refining a parent plan into a child changed.  `rebound` holds
+    the child's representatives of every class whose members or
+    disequalities changed, and is None when the child's bindings are the
+    parent's own object."""
+
+    reordered: bool  # the child's orderings are not the parent's object
+    step_added: bool  # the child appended a step (a refinement appends at most one)
+    rebound: tuple[Term, ...] | None
+
+
+# Shared: every frontier entry holds its child's Delta, and most children
+# keep their parent's bindings.
+_UNBOUND = {(o, s): Delta(o, s, None) for o in (False, True) for s in (False, True)}
+
+
+def refinement_delta(parent: PartialPlan, child: PartialPlan) -> Delta:
+    """What refining `parent` into `child` changed, read off the two plans."""
+    reordered = child.orderings is not parent.orderings
+    step_added = len(child.steps) > len(parent.steps)
+    old, new = parent.bindings, child.bindings
+    if new is old:
+        return _UNBOUND[reordered, step_added]
+    rebound: set[Term] = set()
+    if new._rep is not old._rep:
+        get = old._rep.get
+        rebound.update(r for t, r in new._rep.items() if get(t, t) != r)
+    if new._neq is not old._neq:
+        rebound.update(t for pair in new._neq - old._neq for t in pair)
+    return Delta(reordered, step_added, tuple(rebound))
+
+
+def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], delta: Delta) -> list[Repair]:
+    """enumerate_open_repairs(plan, flaw, domain), derived from the
+    open condition's repairs `parent` in the plan this one was refined
+    from, given the refinement_delta between them.
+
+    A refinement only adds constraints: bindings merge classes or keep
+    classes apart, orderings grow, steps are appended.  So a repair
+    missing from the parent's list stays missing, and the child's list
+    is the parent's repairs that still hold, plus reuse of the appended
+    step, plus closed-world support for a negative condition that has
+    just become ground.  A repair is re-tested only against what
+    changed: its reuse ordering when the orderings did, its unification
+    when a class of the condition's or of the effect's terms did.  The
+    order is the enumeration's, and an unchanged list is `parent`
+    itself."""
+    reordered, step_added, rebound = delta
+    if not (reordered or step_added or rebound):
+        return parent
+    cond = flaw.literal
+    store = plan.bindings
+    get = store._rep.get
+    precedes = plan.orderings.precedes
+    moved = frozenset(rebound or ())
+    touched = not moved.isdisjoint(map(get, cond.args, cond.args))
+    out: list[Repair] = []
+    if touched and not cond.positive and (not parent or parent[0] is not _CLOSED_WORLD):
+        atom = _ground_atom(cond, store)
+        if atom is not None and atom not in _init_atoms(plan.steps[START_ID].effects):
+            out.append(_CLOSED_WORLD)
+    for r in parent:
+        eff = r.effect
+        if r.kind == NEW_STEP:
+            if touched and not schema_effect_unifies(cond, eff, store):
+                continue
+        elif eff is not None:  # init or reuse; the closed world holds once ground
+            if reordered and r.kind == REUSE and precedes(flaw.step, r.step):
+                continue
+            if (
+                moved
+                and (touched or not moved.isdisjoint(map(get, eff.args, eff.args)))
+                and not args_unifiable(cond, eff, store)
+            ):
+                continue
+        out.append(r)
+    if step_added:  # the new step's reuse goes after the older steps'
+        at = len(out)
+        while at and out[at - 1].kind == NEW_STEP:
+            at -= 1
+        reuse: list[Repair] = []
+        _append_reuse(reuse, plan, flaw, len(plan.steps) - 1)
+        out[at:at] = reuse
+    return parent if out == parent else out
 
 
 def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False) -> list[Repair]:

@@ -4,6 +4,11 @@ Node selection pops the minimum-rank plan (ties: most recently generated
 first).  Flaw selection is delegated to the strategy; all repairs of the
 selected flaw become children.  A node any of whose flaws has repair
 cost zero is a dead end and is pruned before expansion (switchable).
+Each frontier entry carries the parent's open-condition repair lists and
+what the refinement changed; the popped child re-checks those lists
+(strategies.RepairTable) instead of enumerating the opens again, and the
+dead-end probe reads them, stopping at the first repair only for flaws
+with no inherited list.
 Limits are checked after each expansion, so a run can overshoot its node
 limit by one batch of children; %-overrun accounting clamps to the
 nominal limit.
@@ -29,6 +34,7 @@ from .flaws import (
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
+    refinement_delta,
     refresh_agenda,
 )
 from .plan import (
@@ -314,6 +320,8 @@ def plan_search(
     t0 = time.monotonic()
     stats = SearchStats(seed=config.seed)
     rng = random.Random(config.seed)
+    if not strategy.reads_costs:
+        config = replace(config, cost_mode="exact")  # no cached cost would be read
     cached = config.cost_mode == "cached" or strategy.cached_costs
     cost_mode = "cached" if cached else "exact"
 
@@ -322,7 +330,8 @@ def plan_search(
     if cached:
         root = _with_cached_costs(root, len(root.agenda), domain)
     stats.nodes_generated = 1
-    frontier: list[tuple] = [(rank(root, config.rank), 0, root)]
+    # (rank, -generation, plan, parent's open lists by stamp, refinement delta)
+    frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None)]
     stats.max_frontier = 1
     if observer is not None and hasattr(observer, "on_enqueue"):
         observer.on_enqueue(root)
@@ -341,7 +350,7 @@ def plan_search(
 
     pops = 0
     while frontier:
-        _, _, node = heapq.heappop(frontier)
+        _, _, node, inherited, delta = heapq.heappop(frontier)
         pops += 1
         if not node.agenda:
             return solved(node)
@@ -349,12 +358,13 @@ def plan_search(
         if not node.agenda:
             return solved(node)
 
+        table = RepairTable(node, domain, inherited, delta)  # each flaw's list made at most once per node
         if config.dead_end_pruning and any(
-            not has_any_repair(node, f, domain) for f in node.agenda
+            not (table.repairs(f) if f.inserted_at in table.inherited else has_any_repair(node, f, domain))
+            for f in node.agenda
         ):
             stats.nodes_pruned += 1
             continue
-        table = RepairTable(node, domain)  # each flaw enumerated at most once per node
         if config.dmin_check:
             nonsep = [f for f in node.agenda if f.kind == NONSEPARABLE]
             if nonsep and all(len(table.repairs(f)) >= 2 for f in nonsep):
@@ -367,9 +377,12 @@ def plan_search(
         children = refinements(node, flaw, domain, config, ctx, table)
         if observer is not None and hasattr(observer, "on_expand"):
             observer.on_expand(node, flaw, children)
+        lists = table.open_lists(flaw)
         for child in children:
             stats.nodes_generated += 1
-            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child))
+            entry = (rank(child, config.rank), -stats.nodes_generated, child, lists,
+                     refinement_delta(node, child) if lists else None)
+            heapq.heappush(frontier, entry)
             if observer is not None and hasattr(observer, "on_enqueue"):
                 observer.on_enqueue(child)
         if len(frontier) > stats.max_frontier:

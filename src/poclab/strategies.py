@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .domains import Domain
-from .flaws import FROM_START, NEW_STEP, REUSE, Repair, enumerate_repairs
+from .flaws import FROM_START, NEW_STEP, REUSE, Delta, Repair, enumerate_repairs, rederive_open_repairs
 from .flaws import enumerate_open_repairs  # noqa: F401  -- unused here; perfbench's tracer patches it
 from .plan import OPEN, Flaw, PartialPlan
 
@@ -71,6 +71,11 @@ class Strategy:
 
     def __str__(self) -> str:
         return " / ".join(str(p) for p in self.prefs)
+
+    @property
+    def reads_costs(self) -> bool:
+        """Does selection read repair costs or lists: a cost range, LC or New?"""
+        return any(p.has_range or p.tiebreak in ("LC", "New") for p in self.prefs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +266,47 @@ def describe_builtins() -> list[tuple[str, str]]:
 
 
 class RepairTable:
-    """One node's repair lists, each flaw enumerated at most once.  Keyed
+    """One node's repair lists, each made at most once.  Keyed
     by flaw identity (agenda entries are distinct objects); each entry
-    holds its flaw, so the id cannot be reused while the table lives."""
+    holds its flaw, so the id cannot be reused while the table lives.
 
-    def __init__(self, plan: PartialPlan, domain: Domain):
+    `inherited` maps an open condition's insertion stamp to its list in
+    the node's parent, and `delta` is the refinement_delta from the
+    parent to the node: such a list is re-checked
+    (rederive_open_repairs), not enumerated again.  The search's
+    dead-end probe reads the inherited lists, and the search passes
+    this node's open-condition lists on to its children (open_lists)."""
+
+    def __init__(
+        self,
+        plan: PartialPlan,
+        domain: Domain,
+        inherited: dict[int, list[Repair]] | None = None,
+        delta: Delta | None = None,
+    ):
         self.plan = plan
         self.domain = domain
+        self.inherited = inherited or {}
+        self.delta = delta
         self._lists: dict[int, tuple[Flaw, list[Repair]]] = {}
 
     def repairs(self, flaw: Flaw) -> list[Repair]:
         hit = self._lists.get(id(flaw))
         if hit is None:
-            hit = self._lists[id(flaw)] = (flaw, enumerate_repairs(self.plan, flaw, self.domain))
+            parent = self.inherited.get(flaw.inserted_at)
+            if parent is None:
+                repairs = enumerate_repairs(self.plan, flaw, self.domain)
+            else:
+                repairs = rederive_open_repairs(self.plan, flaw, parent, self.delta)
+            hit = self._lists[id(flaw)] = (flaw, repairs)
         return hit[1]
+
+    def open_lists(self, selected: Flaw) -> dict[int, list[Repair]] | None:
+        """The open conditions' lists by insertion stamp, but `selected`'s,
+        for the children of this node to inherit; None when there are
+        none, as for a strategy that reads no cost."""
+        lists = {f.inserted_at: r for f, r in self._lists.values() if f.kind == OPEN and f is not selected}
+        return lists or None
 
     def cost(self, flaw: Flaw, cached: bool = False) -> int:
         """The one definition of a repair cost: with cached costs, the

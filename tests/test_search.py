@@ -1,21 +1,30 @@
 """The refinement loop: ranking, refinements, pruning, limits, toggles."""
 
+import gc
+import heapq
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import plan_with, separable_threat_fixture
-from poclab import search, strategies
+from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
+from poclab.flaws import FROM_START, REUSE
 from poclab.plan import (
     GOAL_ID,
     NONSEPARABLE,
     OPEN,
     CausalLink,
     Flaw,
+    OrderingStore,
+    PartialPlan,
     Step,
     make_skeletal_plan,
     serialize,
@@ -35,7 +44,7 @@ from poclab.search import (
     refinements,
 )
 from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
-from poclab.terms import const, lit
+from poclab.terms import BindingStore, const, lit
 
 
 def test_rank_weighted_sums():
@@ -229,6 +238,7 @@ def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain
         (search, "enumerate_repairs"),
         (strategies, "enumerate_repairs"),
         (strategies, "enumerate_open_repairs"),
+        (strategies, "rederive_open_repairs"),
     ):
         monkeypatch.setattr(owner, attr, counted(getattr(owner, attr), enumerated))
     calls = []
@@ -249,6 +259,186 @@ def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain
     out = plan_search(dom, prob, strategy, config, observer=check)
     assert out.solved and check.expansions > 5
     assert exercised is None or calls
+
+
+@contextmanager
+def rederivations_checked(dom):
+    """While active, every re-derived repair list must equal a fresh
+    enumeration on the same plan and flaw: the same repairs in the same
+    order.  Yields the (parent list, derived list) of each derivation."""
+    log = []
+    derive = strategies.rederive_open_repairs
+
+    def checked(plan, flaw, parent, delta):
+        got = derive(plan, flaw, parent, delta)
+        want = flaws.enumerate_repairs(plan, flaw, dom)
+        assert got == want, (
+            f"{flaw.describe()} after delta {delta}: re-derived {[r.describe() for r in got]}"
+            f" != enumerated {[r.describe() for r in want]}"
+        )
+        log.append((parent, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "rederive_open_repairs", checked)
+        yield log
+
+
+@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
+@pytest.mark.parametrize(
+    "domain, problem", [("blocks", "sussman"), ("blocks", "invert4"), ("briefcase", "get-paid"),
+                        ("tileworld", "tileworld-2")],
+)
+def test_rederived_repairs_equal_a_fresh_enumeration(name, domain, problem):
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    with rederivations_checked(dom) as log:
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=1000))
+    assert log
+
+
+# A new step that establishes a 0-ary condition leaves the bindings as
+# they were, yet its other effect is reuse for the sibling open (q).
+ZERO_ARY = parse_domain(
+    "(define (domain zero-ary) (:predicates (p) (q) (r))"
+    " (:operator mk-pq :parameters () :precondition (and (r)) :effect (and (p) (q))))"
+)
+ZERO_ARY_PROBLEM = parse_problem(
+    "(define (problem z) (:domain zero-ary) (:objects A) (:init (r)) (:goal (and (p) (q))))", ZERO_ARY
+)
+# Linking (u ?x) from the initial state grounds ?x, so the sibling open
+# (not (p ?x)) gains closed-world support it did not have in the parent.
+GROUNDS_LATER = parse_domain(
+    """
+(define (domain grounds-later)
+  (:predicates (p ?x) (u ?x) (r ?x) (done))
+  (:operator finish :parameters (?x)
+    :precondition (and (not (p ?x)) (u ?x)) :effect (and (done)))
+  (:operator clear-p :parameters (?x)
+    :precondition (and (r ?x)) :effect (and (not (p ?x)))))
+"""
+)
+GROUNDS_LATER_PROBLEM = parse_problem(
+    "(define (problem g) (:domain grounds-later) (:objects A B) (:init (u A) (p B) (r B))"
+    " (:goal (and (done))))",
+    GROUNDS_LATER,
+)
+
+
+@pytest.mark.parametrize(
+    "dom, prob, gained",
+    [
+        (ZERO_ARY, ZERO_ARY_PROBLEM, lambda r: r.kind == REUSE),
+        (GROUNDS_LATER, GROUNDS_LATER_PROBLEM, lambda r: r.kind == FROM_START and r.effect is None),
+    ],
+    ids=["new-step-reuse-without-binding", "negative-open-becomes-ground"],
+)
+def test_rederivation_gains_the_repairs_a_delta_adds(dom, prob, gained):
+    """The two ways a list grows: reuse of the new step when the
+    bindings did not change, and closed-world support for a negative
+    open that has just become ground."""
+    with rederivations_checked(dom) as log:
+        out = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=100))
+    assert out.solved
+    assert any(any(gained(r) for r in got) and not any(gained(r) for r in parent) for parent, got in log)
+
+
+@st.composite
+def small_domains(draw):
+    """A random domain over 0-, 1- and 2-ary predicates, with negative
+    preconditions and effects, and a problem over two objects.  No
+    operator both adds and deletes one predicate: the planner can link
+    such a delete although validation, deletes before adds, then fails
+    the plan (test_a_step_that_adds_an_atom_does_not_establish_its_delete)."""
+    arity = {"z": 0, "w": 0, "u": 1, "b": 2}
+    preds = sorted(arity)
+
+    def literal(args_from, positive):
+        pred = draw(st.sampled_from(preds))
+        args = "".join(f" {draw(st.sampled_from(args_from))}" for _ in range(arity[pred]))
+        return f"({pred}{args})" if positive(pred) else f"(not ({pred}{args}))"
+
+    ops = []
+    for i in range(draw(st.integers(1, 3))):
+        adds = draw(st.fixed_dictionaries({p: st.booleans() for p in preds}))
+        pre = " ".join(literal(("?x", "?y"), lambda p: draw(st.booleans())) for _ in range(draw(st.integers(1, 3))))
+        eff = " ".join(literal(("?x", "?y"), adds.get) for _ in range(draw(st.integers(1, 3))))
+        ops.append(f"(:operator o{i} :parameters (?x ?y) :precondition (and {pre}) :effect (and {eff}))")
+    decls = " ".join(f"({p}" + "".join(f" ?a{k}" for k in range(n)) + ")" for p, n in arity.items())
+    dom = parse_domain(f"(define (domain r) (:predicates {decls}) {' '.join(ops)})")
+    atoms = ["(z)", "(w)", "(u A)", "(u B)", "(b A B)", "(b B A)", "(b A A)"]
+    init = draw(st.lists(st.sampled_from(atoms), unique=True, max_size=5))
+    goal = " ".join(literal(("A", "B"), lambda p: draw(st.booleans())) for _ in range(draw(st.integers(1, 3))))
+    prob = parse_problem(
+        f"(define (problem r) (:domain r) (:objects A B) (:init {' '.join(init)}) (:goal (and {goal})))", dom
+    )
+    return dom, prob
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_domains(), st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen"]), st.booleans())
+def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, name, pruning):
+    """Without dead-end pruning, an open with no repair lives on, so a
+    negative open can be costed before and after it becomes ground."""
+    dom, prob = case
+    with rederivations_checked(dom):
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, dead_end_pruning=pruning))
+
+
+def test_frontier_entries_carry_lists_not_plans(monkeypatch):
+    """What a frontier entry carries for its child holds no plan,
+    binding store or ordering store, and a list that no delta changed
+    is the parent's own list object."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-2")
+    carried = {}
+
+    def push(heap, entry):
+        for part in entry[3:]:  # the parent's lists and the refinement delta
+            if part is not None:
+                carried[id(part)] = part
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    unchanged = []
+    derive = strategies.rederive_open_repairs
+
+    def derive_checked(plan, flaw, parent, delta):
+        got = derive(plan, flaw, parent, delta)
+        if got == parent:
+            assert got is parent, f"{flaw.describe()}: an unchanged list was copied"
+            unchanged.append(got)
+        return got
+
+    monkeypatch.setattr(strategies, "rederive_open_repairs", derive_checked)
+    assert plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=1000)).solved
+    assert carried and unchanged
+    forbidden = (PartialPlan, BindingStore, OrderingStore)
+    seen, stack = set(), list(carried.values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, forbidden), f"a frontier entry holds a {type(obj).__name__}"
+        stack.extend(gc.get_referents(obj))
+
+
+def test_only_strategies_that_read_costs_cache_them():
+    """Under cost_mode="cached", flaws are costed at insertion only for
+    a strategy that reads costs: UCPOP's plans carry no cached cost,
+    LCFR's always do."""
+    dom, probs = bundled("blocks")
+    for name, costed in (("UCPOP", False), ("LCFR", True)):
+        seen = set()
+
+        class Obs:
+            def on_enqueue(self, plan):
+                seen.update(f.cached_cost is not None for f in plan.agenda)
+
+        config = SearchConfig(node_limit=10000, cost_mode="cached")
+        assert plan_search(dom, probs[0], builtin(name), config, observer=Obs()).solved
+        assert seen == {costed}, name
 
 
 GOLDEN_TOGGLED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-toggled.json"
@@ -497,3 +687,25 @@ def test_negative_goal_via_closed_world_is_protected():
         assert out.solved, name
         result = validate_solution(out.plan, dom, prob)
         assert result, result.message
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="a step's delete establishes an open condition although the same step adds the "
+    "atom, so validation, which applies deletes before adds, fails the solved plan",
+)
+def test_a_step_that_adds_an_atom_does_not_establish_its_delete():
+    dom = parse_domain(
+        """
+(define (domain flip)
+  (:predicates (u ?x) (w))
+  (:operator flip :parameters (?x) :precondition (and) :effect (and (u ?x) (not (u ?x))))
+  (:operator use :parameters (?x) :precondition (and (not (u ?x))) :effect (and (not (w)))))
+"""
+    )
+    prob = parse_problem(
+        "(define (problem f) (:domain flip) (:objects A) (:init (w)) (:goal (and (not (w)))))", dom
+    )
+    out = plan_search(dom, prob, builtin("UCPOP"), SearchConfig(node_limit=150))
+    assert out.status in (SOLVED, EXHAUSTED)

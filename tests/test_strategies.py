@@ -146,6 +146,17 @@ def test_qlcfr_is_cached_lcfr():
     assert "cached" in listing["QLCFR"]
 
 
+def test_reads_costs_follows_the_preferences():
+    """A cost range, LC or New makes selection read costs; LIFO, FIFO
+    and R alone do not."""
+    readers = {name for name in builtin_names() if builtin(name).reads_costs}
+    assert readers == {
+        "UCPOP-LC", "DSep-LC", "DUnf", "DUnf-LC", "DUnf-FIFO", "DUnf-Gen",
+        "LCFR", "LCFR-DSep", "ZLIFO", "QLCFR",
+    }
+    assert not parse_strategy("{n,s}LIFO / {o}R").reads_costs
+
+
 # ---------------------------------------------------------------------------
 # selection
 
