@@ -39,7 +39,7 @@ from .terms import (
     BindingStore,
     Literal,
     Term,
-    _pairs_unifiable,
+    _union,
     args_unifiable,
     const,
 )
@@ -167,9 +167,7 @@ def schema_effect_unifies(cond: Literal, eff: SchemaLiteral, store: BindingStore
             pairs.append((carg, bound[sarg]))
         else:
             bound[sarg] = carg  # first occurrence binds freely
-    if not pairs:
-        return True
-    return _pairs_unifiable(pairs, store)
+    return _union(pairs, store) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +180,26 @@ def _threat_kind(effect: Literal, condition: Literal, store: BindingStore, syste
         return None
     if effect.positive == condition.positive and not systematic:
         return None
-    rep = store._rep
-    if all(rep.get(x, x) == rep.get(y, y) for x, y in zip(effect.args, condition.args)):
-        return NONSEPARABLE
-    if _pairs_unifiable(zip(effect.args, condition.args), store):
-        return SEPARABLE
-    return None
+    leader = _union(zip(effect.args, condition.args), store)
+    if leader is None:
+        return None
+    return SEPARABLE if leader else NONSEPARABLE
 
 
 def _step_threatens_link(
     plan: PartialPlan, step: Step, link: CausalLink, systematic: bool
 ) -> list[tuple[str, int, Literal, CausalLink]]:
-    if step.id == link.producer or step.id == link.consumer:
+    # A step's deletes apply before its adds, so the producer undoes its
+    # own link only by adding what a negative condition denies.
+    own = step.id == link.producer
+    if step.id == link.consumer or (own and link.condition.positive):
         return []
     if plan.orderings.precedes(step.id, link.producer) or plan.orderings.precedes(link.consumer, step.id):
         return []
     out = []
     for eff in step.effects:  # effects are distinct by construction
+        if own and not eff.positive:
+            continue
         kind = _threat_kind(eff, link.condition, plan.bindings, systematic)
         if kind is not None:
             out.append((kind, step.id, eff, link))
@@ -419,7 +420,8 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
 
 
 def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False) -> list[Repair]:
-    """Promotion and demotion when consistent; for separable threats
+    """Promotion and demotion when consistent (a link's producer can be
+    ordered off neither side of its own link); for separable threats
     also one separation per argument pair not already forced equal
     (duplicate pairs collapse to one repair).  With first=True, return
     as soon as one repair is found."""
@@ -429,7 +431,7 @@ def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False)
         out.append(_PROMOTE)
         if first:
             return out
-    if not plan.orderings.precedes(link.producer, flaw.step):
+    if flaw.step != link.producer and not plan.orderings.precedes(link.producer, flaw.step):
         out.append(_DEMOTE)
         if first:
             return out

@@ -3,7 +3,10 @@
 Terms are flat: variables and constants only, no function symbols, so
 unification never needs an occurs check.  Stores are immutable values;
 every constraining operation returns a fresh extended store (or None on
-inconsistency) and never touches the original.
+inconsistency) and never touches the original.  One batch union over
+class representatives (_union) decides whether argument pairs can
+codesignate, for unify, merge, noncodesignating and the unifiability
+tests alike.
 """
 
 from __future__ import annotations
@@ -122,40 +125,27 @@ class BindingStore:
 
     def noncodesignating(self, a: Term, b: Term) -> bool:
         """True when a and b can never codesignate under this store."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if not ra.is_variable and not rb.is_variable:
-            return True
-        return _pair(ra, rb) in self._neq
+        return _union(((a, b),), self) is None
 
     def merge(self, a: Term, b: Term) -> BindingStore | None:
         """Codesignate a and b; None if blocked by a constant clash or a
         noncodesignation constraint."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return self
-        if not ra.is_variable and not rb.is_variable:
-            return None
-        if self._neq and _pair(ra, rb) in self._neq:
-            return None
-        if not ra.is_variable:
-            keep, drop = ra, rb
-        elif not rb.is_variable:
-            keep, drop = rb, ra
-        else:
-            keep, drop = (ra, rb) if ra.key < rb.key else (rb, ra)
-        rep = {t: (keep if r == drop else r) for t, r in self._rep.items()}
-        rep[drop] = keep
-        if keep not in rep:
+        return self._joined(_union(((a, b),), self))
+
+    def _joined(self, leader: dict[Term, Term] | None) -> BindingStore | None:
+        """This store with _union's answer applied: None stays None, {}
+        is this store, and each merged representative points at its
+        group's leader."""
+        if not leader:
+            return None if leader is None else self
+        get = leader.get
+        rep = {t: get(r, r) for t, r in self._rep.items()}
+        rep.update(leader)
+        for keep in leader.values():
             rep[keep] = keep
-        if self._neq:
-            neq = frozenset(
-                _pair(keep if x == drop else x, keep if y == drop else y)
-                for x, y in self._neq
-            )
-        else:
-            neq = self._neq
+        neq = self._neq
+        if neq:
+            neq = frozenset(_pair(get(x, x), get(y, y)) for x, y in neq)
         return BindingStore(rep, neq)
 
     def require_distinct(self, a: Term, b: Term) -> BindingStore | None:
@@ -205,29 +195,17 @@ class BindingStore:
 EMPTY_STORE = BindingStore({}, frozenset())
 
 
-def unify(a: Literal, b: Literal, store: BindingStore) -> BindingStore | None:
-    """Extend `store` so that a and b codesignate argument-wise.
+def _union(pairs, store: BindingStore) -> dict[Term, Term] | None:
+    """The one codesignation test: can every (x, y) in pairs codesignate
+    at once under store?
 
-    Predicates and polarities must match; complementarity is the
-    caller's business (flip one side first).  The input store is never
-    modified.
-    """
-    if a.pred != b.pred or a.positive != b.positive or len(a.args) != len(b.args):
-        return None
-    s: BindingStore | None = store
-    for x, y in zip(a.args, b.args):
-        s = s.merge(x, y)
-        if s is None:
-            return None
-    return s
-
-
-def _pairs_unifiable(pairs, store: BindingStore) -> bool:
-    """Could all pairs be merged simultaneously?  Runs a throwaway union
-    over current representatives without allocating stores; the class
-    leader is kept on the constant whenever a group contains one so a
-    second constant is caught immediately.  Inlined (no find, no
-    is_variable, no _pair) because costing every open condition runs it."""
+    Runs a batch union over the store's class representatives.  None on
+    a constant clash or a disequal pair; otherwise a map from each
+    representative that stops leading a class to the leader of its new
+    class, which is {} when every pair already codesignates.  A group
+    is led by its constant, or else by its lowest-keyed member, the
+    representative a pair-by-pair merge would keep.  Inlined (no find,
+    no key, no _pair) because costing every open condition runs it."""
     rep = store._rep
     neq = store._neq
     leader: dict[Term, Term] = {}
@@ -241,7 +219,9 @@ def _pairs_unifiable(pairs, store: BindingStore) -> bool:
             continue
         if ly.vid < 0:
             if lx.vid < 0:
-                return False
+                return None
+            lx, ly = ly, lx
+        elif lx.vid > ly.vid or (lx.vid == ly.vid and lx.name > ly.name):
             lx, ly = ly, lx
         gx = members.get(lx)
         if gx is None:
@@ -251,11 +231,23 @@ def _pairs_unifiable(pairs, store: BindingStore) -> bool:
             for a in gx:
                 for b in gy:
                     if (a, b) in neq or (b, a) in neq:
-                        return False
+                        return None
         gx.extend(gy)
         for t in gy:
             leader[t] = lx
-    return True
+    return leader
+
+
+def unify(a: Literal, b: Literal, store: BindingStore) -> BindingStore | None:
+    """Extend `store` so that a and b codesignate argument-wise.
+
+    Predicates and polarities must match; complementarity is the
+    caller's business (flip one side first).  The input store is never
+    modified, and is returned itself when nothing needs merging.
+    """
+    if a.pred != b.pred or a.positive != b.positive or len(a.args) != len(b.args):
+        return None
+    return store._joined(_union(zip(a.args, b.args), store))
 
 
 def args_unifiable(a: Literal, b: Literal, store: BindingStore) -> bool:
@@ -264,7 +256,7 @@ def args_unifiable(a: Literal, b: Literal, store: BindingStore) -> bool:
     extended store."""
     if a.pred != b.pred or a.positive != b.positive or len(a.args) != len(b.args):
         return False
-    return _pairs_unifiable(zip(a.args, b.args), store)
+    return _union(zip(a.args, b.args), store) is not None
 
 
 def forced_complementary(e: Literal, f: Literal, store: BindingStore) -> bool:

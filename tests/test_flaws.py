@@ -92,6 +92,29 @@ def test_nonseparable_repair_counts():
     assert not has_any_repair(plan, flaw, bundled("blocks")[0])
 
 
+def test_a_producer_threatens_its_negative_link_only_by_adding():
+    # deletes apply before adds, so flip's (u ?x) undoes its own
+    # (not (u ?x)); its other delete is the link's own sign
+    flip = Step(2, "flip", (), (), (lit("u", x), lit("u", x, positive=False), lit("u", y, positive=False)), 0)
+    consumer = Step(3, "use", (), (lit("u", x, positive=False),), (), 0)
+    link = CausalLink(2, lit("u", x, positive=False), 3, 0)
+    plan = plan_with(steps=(flip, consumer), links=(link,), order_pairs=((2, 3),))
+    for systematic in (False, True):
+        found = detect_new_threats(plan, None, link, systematic)
+        assert [(k, s, e) for k, s, e, _ in found] == [(NONSEPARABLE, 2, lit("u", x))]
+    # neither promotion nor demotion can move a step off its own link
+    assert enumerate_threat_repairs(plan, Flaw(NONSEPARABLE, 2, lit("u", x), link, inserted_at=1)) == []
+    other = CausalLink(2, lit("u", y, positive=False), 3, 0)
+    flaw = Flaw(SEPARABLE, 2, lit("u", x), other, inserted_at=1)
+    assert [r.kind for r in enumerate_threat_repairs(plan, flaw)] == [SEPARATE]
+
+    # a positive link survives its producer's deletes
+    positive = CausalLink(2, lit("u", x), 3, 0)
+    plan = plan_with(steps=(flip, consumer), links=(positive,), order_pairs=((2, 3),))
+    for systematic in (False, True):
+        assert detect_new_threats(plan, None, positive, systematic) == []
+
+
 def test_detection_separable_vs_nonseparable_vs_span():
     link = CausalLink(2, lit("at", z), 3, 0)
     producer = Step(2, "go-tile", (), (), (lit("at", z),), 0)

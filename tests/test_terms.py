@@ -230,19 +230,65 @@ def _draw_args(data, elements, n):
     return tuple(data.draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n)))
 
 
+def _model_unify(store, pairs):
+    """The naive reference for the union kernel, built only from the
+    store's public views: a partition of terms plus disequal class
+    pairs, merged one pair at a time.  None when the pairs cannot all
+    codesignate; else every term's expected representative in the
+    unified store, its class's constant or else its lowest-keyed
+    member."""
+    cls = {t: frozenset(c) for c in store.classes() for t in c}
+
+    def of(t):
+        return cls.get(t, frozenset((t,)))
+
+    apart = {frozenset((of(a), of(b))) for a, b in store.neq_pairs()}
+    for x, y in pairs:
+        cx, cy = of(x), of(y)
+        if cx == cy:
+            continue
+        if frozenset((cx, cy)) in apart:
+            return None
+        joined = cx | cy
+        if len([t for t in joined if not t.is_variable]) > 1:
+            return None
+        for t in joined:
+            cls[t] = joined
+        apart = {frozenset(joined if c in (cx, cy) else c for c in pair) for pair in apart}
+    terms = set(cls) | {t for pair in pairs for t in pair}
+    return {
+        t: next((m for m in of(t) if not m.is_variable), None) or min(of(t), key=lambda m: m.key)
+        for t in terms
+    }
+
+
+def _check_against_model(a, b, store):
+    """args_unifiable, unify and the unified store's find, each against
+    _model_unify."""
+    expected = _model_unify(store, list(zip(a.args, b.args)))
+    assert args_unifiable(a, b, store) == (expected is not None), (a, b, store.describe())
+    unified = unify(a, b, store)
+    assert (unified is None) == (expected is None), (a, b, store.describe())
+    if unified is not None:
+        assert {t: unified.find(t) for t in expected} == expected, (a, b, store.describe())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_args_unifiable_agrees_with_unify(data):
     # A small pool, so arguments repeat and constants mix in.  Every
     # ordered pair of four literals is tried: a disequality is stored
     # one way round, and a kernel that looks it up only one way round
-    # is caught when the pair reaches it the other way round.
+    # is caught when the pair reaches it the other way round.  unify
+    # and args_unifiable share one kernel, so both are also checked
+    # against the naive model.
     store = _draw_store(data)
     n = data.draw(st.integers(0, 4))
     lits = [Literal(True, "p", _draw_args(data, _POOL, n)) for _ in range(4)]
     for a in lits:
         for b in lits:
             assert args_unifiable(a, b, store) == (unify(a, b, store) is not None), (a, b, store)
+            _check_against_model(a, b, store)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,8 +299,10 @@ def test_schema_effect_unifies_agrees_with_a_fresh_instance(data):
     cond = Literal(True, "p", _draw_args(data, _POOL, n))
     eff = SchemaLiteral(True, "p", _draw_args(data, ["?a", "?b", "?c", "P", "Q", "S"], n))
     fresh = {p: var(p, 100 + i) for i, p in enumerate(("?a", "?b", "?c"))}
-    expected = unify(cond, instantiate_literal(eff, fresh), store) is not None
+    instance = instantiate_literal(eff, fresh)
+    expected = unify(cond, instance, store) is not None
     assert schema_effect_unifies(cond, eff, store) == expected
+    _check_against_model(cond, instance, store)
 
 
 def test_term_equality_and_hash_follow_name_and_vid():
