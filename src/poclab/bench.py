@@ -53,7 +53,6 @@ class RunRecord:
     seconds: float
     seed: int
     reverse: bool
-    grounded_variables: int = 0
 
 
 def pct_overrun(c: int, m: int) -> Fraction:
@@ -156,7 +155,6 @@ def _run_cell(task: tuple[Domain, Problem, Strategy, SearchConfig, str]) -> RunR
         seconds=out.stats.wall_seconds,
         seed=config.seed,
         reverse=config.reverse_preconditions,
-        grounded_variables=out.stats.grounded_variables,
     )
 
 

@@ -59,7 +59,7 @@ class Repair(NamedTuple):
     """One way to fix one flaw.  Only the fields for its kind are set."""
 
     kind: str
-    step: int = -1                       # reuse: producing step id
+    step: int = -1                       # init / reuse: producing step id
     effect: Literal | SchemaLiteral | None = None  # init / reuse: the matched effect; new-step: its schema
     operator: Operator | None = None     # new-step
     effect_index: int = -1               # new-step: which distinct operator effect
@@ -81,7 +81,7 @@ class Repair(NamedTuple):
 # runs on every flaw of every popped node.
 _PROMOTE = Repair(PROMOTE)
 _DEMOTE = Repair(DEMOTE)
-_CLOSED_WORLD = Repair(FROM_START)
+_CLOSED_WORLD = Repair(FROM_START, step=START_ID)
 
 
 def _ground_atom(cond: Literal, store: BindingStore) -> tuple[str, tuple[str, ...]] | None:
@@ -293,7 +293,7 @@ def enumerate_open_repairs(
     if cond.positive:
         for eff in _init_by_pred(start.effects).get(cond.pred, ()):
             if args_unifiable(cond, eff, store):
-                out.append(Repair(FROM_START, effect=eff))
+                out.append(Repair(FROM_START, step=START_ID, effect=eff))
                 if first:
                     return out
     else:

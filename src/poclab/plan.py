@@ -4,13 +4,16 @@ A PartialPlan is a value: refinement builds new nodes and never mutates
 the parent, so nodes can sit in a shared frontier or cross worker
 boundaries freely.  The ordering store keeps a full reachability bitmask
 per step because precedes() dominates repair-cost computation and must
-stay O(1).
+stay O(1).  A node records no number of its own: the search numbers only
+fresh variables and flaw insertion stamps, each with an itertools.count.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 from .domains import Domain, Operator, Problem, SchemaLiteral
 from .terms import EMPTY_STORE, BindingStore, Literal, Term, const, var
@@ -27,28 +30,15 @@ NONSEPARABLE = "n"
 SEPARABLE = "s"
 
 
-class IdGen:
-    """Monotone counter for variable ids, flaw stamps, and node numbers."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0):
-        self.value = start
-
-    def take(self) -> int:
-        v = self.value
-        self.value += 1
-        return v
-
-
 @dataclass(frozen=True, slots=True)
 class Step:
+    """An operator instance; `id` is its index in the plan's steps."""
+
     id: int
     name: str
     params: tuple[Term, ...]
     preconds: tuple[Literal, ...]
     effects: tuple[Literal, ...]
-    created_at: int  # node-generation counter of the node that added it
 
     def __str__(self) -> str:
         if not self.params:
@@ -61,7 +51,6 @@ class CausalLink:
     producer: int
     condition: Literal
     consumer: int
-    created_at: int
 
     def __str__(self) -> str:
         return f"({self.producer} {self.condition} {self.consumer})"
@@ -84,10 +73,6 @@ class Flaw:
     link: CausalLink | None = None
     inserted_at: int = 0
     cached_cost: int | None = None
-
-    @property
-    def is_threat(self) -> bool:
-        return self.kind != OPEN
 
     def describe(self) -> str:
         if self.kind == OPEN:
@@ -174,19 +159,18 @@ def instantiate_literal(schema: SchemaLiteral, mapping: dict[str, Term]) -> Lite
     return Literal(schema.positive, schema.pred, args)
 
 
-def instantiate_step(op: Operator, sid: int, created_at: int, vids: IdGen) -> Step:
+def instantiate_step(op: Operator, sid: int, vids: Iterator[int]) -> Step:
     """Fresh copy of an operator: every parameter gets a brand-new
     variable so ids never collide across steps in one search.  Literally
     duplicate effects collapse (establishers and threats count per
     distinct effect literal anyway)."""
-    mapping = {p: var(p, vids.take()) for p in op.params}
+    mapping = {p: var(p, next(vids)) for p in op.params}
     return Step(
         id=sid,
         name=op.name,
         params=tuple(mapping[p] for p in op.params),
         preconds=tuple(instantiate_literal(l, mapping) for l in op.preconds),
         effects=tuple(dict.fromkeys(instantiate_literal(l, mapping) for l in op.effects)),
-        created_at=created_at,
     )
 
 
@@ -194,7 +178,7 @@ def make_skeletal_plan(
     domain: Domain,
     problem: Problem,
     reverse: bool = False,
-    stamps: IdGen | None = None,
+    stamps: Iterator[int] | None = None,
 ) -> PartialPlan:
     """The two-dummy-step seed plan: start houses the initial state as
     effects, goal houses the goal literals as preconditions, and the
@@ -208,13 +192,13 @@ def make_skeletal_plan(
                 f"goal literal {g} has wrong arity for '{g.pred}' "
                 f"(expected {domain.predicates[g.pred]})"
             )
-    start = Step(START_ID, START_NAME, (), (), tuple(dict.fromkeys(problem.init)), 0)
-    goal = Step(GOAL_ID, GOAL_NAME, (), tuple(problem.goal), (), 0)
-    stamps = stamps or IdGen()
+    start = Step(START_ID, START_NAME, (), (), tuple(dict.fromkeys(problem.init)))
+    goal = Step(GOAL_ID, GOAL_NAME, (), tuple(problem.goal), ())
+    stamps = stamps or count()
     goals = list(problem.goal)
     if reverse:
         goals.reverse()
-    agenda = tuple(Flaw(OPEN, GOAL_ID, g, None, stamps.take()) for g in goals)
+    agenda = tuple(Flaw(OPEN, GOAL_ID, g, None, next(stamps)) for g in goals)
     return PartialPlan(
         steps=(start, goal),
         links=(),

@@ -22,12 +22,12 @@ import re
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from .domains import Domain, Problem
 from .flaws import (
     DEMOTE,
     ESTABLISH_KINDS,
-    FROM_START,
     NEW_STEP,
     PROMOTE,
     Repair,
@@ -40,11 +40,10 @@ from .flaws import (
 from .plan import (
     NONSEPARABLE,
     OPEN,
-    START_ID,
     CausalLink,
     Flaw,
-    IdGen,
     PartialPlan,
+    _plan_variables,
     instantiate_step,
     make_skeletal_plan,
     validate_solution,
@@ -166,27 +165,20 @@ class SearchOutcome:
 
 
 class SearchContext:
-    """Per-search mutable counters: fresh variable ids, flaw insertion
-    stamps, and the node generation number."""
+    """Per-search counters: fresh variable ids for new steps' parameters
+    and insertion stamps for new flaws."""
 
-    def __init__(self):
-        self.vids = IdGen()
-        self.stamps = IdGen()
-        self.generation = 0
+    def __init__(self, vid: int = 0, stamp: int = 0):
+        self.vids = count(vid)
+        self.stamps = count(stamp)
 
     @staticmethod
     def resuming(plan: PartialPlan) -> SearchContext:
         """Context whose counters continue past everything in `plan`;
         lets refinements() be called on hand-built plans."""
-        ctx = SearchContext()
-        max_vid = -1
-        for st in plan.steps:
-            for t in st.params:
-                max_vid = max(max_vid, t.vid)
-        ctx.vids.value = max_vid + 1
-        ctx.stamps.value = 1 + max((f.inserted_at for f in plan.agenda), default=-1)
-        ctx.generation = 1 + max(st.created_at for st in plan.steps)
-        return ctx
+        max_vid = max((t.vid for t in _plan_variables(plan)), default=-1)
+        max_stamp = max((f.inserted_at for f in plan.agenda), default=-1)
+        return SearchContext(max_vid + 1, max_stamp + 1)
 
 
 def _without(agenda: tuple[Flaw, ...], flaw: Flaw) -> tuple[Flaw, ...]:
@@ -231,24 +223,22 @@ def _apply_repair(
             bindings = bindings.require_distinct(*repair.pair)
         return PartialPlan(plan.steps, plan.links, orderings, bindings, rest)
 
-    gen = ctx.generation
     if repair.kind == NEW_STEP:
         producer = len(plan.steps)
-        new_step = instantiate_step(repair.operator, producer, gen, ctx.vids)
+        new_step = instantiate_step(repair.operator, producer, ctx.vids)
         effect = new_step.effects[repair.effect_index]
         steps = plan.steps + (new_step,)
         orderings = plan.orderings.with_step(producer)
         preconds = new_step.preconds[::-1] if config.reverse_preconditions else new_step.preconds
-        opens = tuple(Flaw(OPEN, producer, pre, None, ctx.stamps.take()) for pre in preconds)
+        opens = tuple(Flaw(OPEN, producer, pre, None, next(ctx.stamps)) for pre in preconds)
     else:
         # effect is None only for a closed-world negative condition
-        producer = START_ID if repair.kind == FROM_START else repair.step
-        new_step, effect = None, repair.effect
+        producer, new_step, effect = repair.step, None, repair.effect
         steps, orderings, opens = plan.steps, plan.orderings, ()
     bindings = plan.bindings if effect is None else unify(flaw.literal, effect, plan.bindings)
     if bindings is None:
         raise AssertionError(f"enumerated {repair.kind} repair failed to unify")
-    link = CausalLink(producer, flaw.literal, flaw.step, gen)
+    link = CausalLink(producer, flaw.literal, flaw.step)
     child = PartialPlan(
         steps, plan.links + (link,), orderings.with_ordering(producer, flaw.step), bindings,
         rest + opens,
@@ -256,7 +246,7 @@ def _apply_repair(
     threats = detect_new_threats(child, new_step, link, config.systematic)
     if threats:
         flaws = tuple(
-            Flaw(kind, sid, lit, lk, ctx.stamps.take()) for kind, sid, lit, lk in threats
+            Flaw(kind, sid, lit, lk, next(ctx.stamps)) for kind, sid, lit, lk in threats
         )
         child = replace(child, agenda=child.agenda + flaws)
     if cached:
@@ -277,11 +267,7 @@ def refinements(
     ctx = ctx or SearchContext.resuming(plan)
     table = table or RepairTable(plan, domain)
     cached = config.cost_mode == "cached"
-    children = []
-    for repair in table.repairs(flaw):
-        ctx.generation += 1
-        children.append(_apply_repair(plan, flaw, repair, domain, config, ctx, cached))
-    return children
+    return [_apply_repair(plan, flaw, r, domain, config, ctx, cached) for r in table.repairs(flaw)]
 
 
 def dmin_feasible(plan: PartialPlan) -> bool:
@@ -330,11 +316,14 @@ def plan_search(
     if cached:
         root = _with_cached_costs(root, len(root.agenda), domain)
     stats.nodes_generated = 1
-    # (rank, -generation, plan, parent's open lists by stamp, refinement delta)
+    # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
+    #  parent's open lists by stamp, refinement delta)
     frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None)]
     stats.max_frontier = 1
-    if observer is not None and hasattr(observer, "on_enqueue"):
-        observer.on_enqueue(root)
+    on_enqueue = getattr(observer, "on_enqueue", None)
+    on_expand = getattr(observer, "on_expand", None)
+    if on_enqueue is not None:
+        on_enqueue(root)
     next_time_check = 64
 
     def finish(status: str, solution: PartialPlan | None) -> SearchOutcome:
@@ -352,8 +341,6 @@ def plan_search(
     while frontier:
         _, _, node, inherited, delta = heapq.heappop(frontier)
         pops += 1
-        if not node.agenda:
-            return solved(node)
         node = refresh_agenda(node)
         if not node.agenda:
             return solved(node)
@@ -375,16 +362,16 @@ def plan_search(
         flaw = select_flaw(strategy, node, domain, rng, cost_mode, table)
         stats.nodes_expanded += 1
         children = refinements(node, flaw, domain, config, ctx, table)
-        if observer is not None and hasattr(observer, "on_expand"):
-            observer.on_expand(node, flaw, children)
+        if on_expand is not None:
+            on_expand(node, flaw, children)
         lists = table.open_lists(flaw)
         for child in children:
             stats.nodes_generated += 1
             entry = (rank(child, config.rank), -stats.nodes_generated, child, lists,
                      refinement_delta(node, child) if lists else None)
             heapq.heappush(frontier, entry)
-            if observer is not None and hasattr(observer, "on_enqueue"):
-                observer.on_enqueue(child)
+            if on_enqueue is not None:
+                on_enqueue(child)
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 

@@ -18,8 +18,8 @@ x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
 
 def plan_with(steps=(), links=(), order_pairs=(), bindings=EMPTY_STORE, agenda=()):
     """Node with explicit parts; `steps` excludes the two dummies."""
-    start = Step(START_ID, "start", (), (), (), 0)
-    goal = Step(GOAL_ID, "goal", (), (), (), 0)
+    start = Step(START_ID, "start", (), (), ())
+    goal = Step(GOAL_ID, "goal", (), (), ())
     all_steps = (start, goal) + tuple(steps)
     o = OrderingStore.initial()
     for st in steps:
@@ -33,10 +33,10 @@ def plan_with(steps=(), links=(), order_pairs=(), bindings=EMPTY_STORE, agenda=(
 def separable_threat_fixture():
     """The canonical three-variable pattern: an effect P(x,y,z) against
     a link carrying (not (P t u v)), nothing bound, nothing ordered."""
-    producer = Step(2, "producer", (), (), (lit("P", t, u, v, positive=False),), 0)
-    consumer = Step(3, "consumer", (), (lit("P", t, u, v, positive=False),), (), 0)
-    threatener = Step(4, "threatener", (), (), (lit("P", x, y, z),), 0)
-    link = CausalLink(2, lit("P", t, u, v, positive=False), 3, 0)
+    producer = Step(2, "producer", (), (), (lit("P", t, u, v, positive=False),))
+    consumer = Step(3, "consumer", (), (lit("P", t, u, v, positive=False),), ())
+    threatener = Step(4, "threatener", (), (), (lit("P", x, y, z),))
+    link = CausalLink(2, lit("P", t, u, v, positive=False), 3)
     plan = plan_with(
         steps=(producer, consumer, threatener),
         links=(link,),

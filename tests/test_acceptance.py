@@ -160,7 +160,7 @@ def test_criterion_4_threat_cost_monotonicity():
             parent_costs = {
                 id(f): len(enumerate_repairs(parent, f, self.dom))
                 for f in parent.agenda
-                if f.is_threat
+                if f.kind != OPEN
             }
             if not parent_costs:
                 return
@@ -505,8 +505,8 @@ def test_criterion_10_cached_cost_divergence():
 """
     )
     A, B = const("A"), const("B")
-    producer = Step(2, "mk-on", (), (), (lit("on", A, B),), 0)
-    consumer = Step(3, "consumer", (), (lit("on", A, B),), (), 0)
+    producer = Step(2, "mk-on", (), (), (lit("on", A, B),))
+    consumer = Step(3, "consumer", (), (lit("on", A, B),), ())
     open_flaw = Flaw(OPEN, 3, lit("on", A, B), None, inserted_at=4)
     base = plan_with(steps=(producer, consumer), agenda=(open_flaw,))
     # cost computed once, at insertion: the reuse candidate plus the library

@@ -59,10 +59,10 @@ def test_separations_skip_forced_equal_positions():
 
 
 def test_duplicate_argument_pairs_collapse():
-    link = CausalLink(2, lit("Q", u, u, positive=False), 3, 0)
-    producer = Step(2, "p", (), (), (lit("Q", u, u, positive=False),), 0)
-    consumer = Step(3, "c", (), (), (), 0)
-    threat_step = Step(4, "th", (), (), (lit("Q", x, x),), 0)
+    link = CausalLink(2, lit("Q", u, u, positive=False), 3)
+    producer = Step(2, "p", (), (), (lit("Q", u, u, positive=False),))
+    consumer = Step(3, "c", (), (), ())
+    threat_step = Step(4, "th", (), (), (lit("Q", x, x),))
     plan = plan_with(steps=(producer, consumer, threat_step), links=(link,), order_pairs=((2, 3),))
     flaw = Flaw(SEPARABLE, 4, lit("Q", x, x), link, inserted_at=1)
     repairs = enumerate_threat_repairs(plan, flaw)
@@ -71,10 +71,10 @@ def test_duplicate_argument_pairs_collapse():
 
 def test_nonseparable_repair_counts():
     def ground_fixture(order_pairs):
-        producer = Step(2, "p", (), (), (lit("g", A),), 0)
-        consumer = Step(3, "c", (), (), (), 0)
-        threat_step = Step(4, "th", (), (), (lit("g", A, positive=False),), 0)
-        link = CausalLink(2, lit("g", A), 3, 0)
+        producer = Step(2, "p", (), (), (lit("g", A),))
+        consumer = Step(3, "c", (), (), ())
+        threat_step = Step(4, "th", (), (), (lit("g", A, positive=False),))
+        link = CausalLink(2, lit("g", A), 3)
         plan = plan_with(
             steps=(producer, consumer, threat_step), links=(link,),
             order_pairs=((2, 3),) + order_pairs,
@@ -95,38 +95,38 @@ def test_nonseparable_repair_counts():
 def test_a_producer_threatens_its_negative_link_only_by_adding():
     # deletes apply before adds, so flip's (u ?x) undoes its own
     # (not (u ?x)); its other delete is the link's own sign
-    flip = Step(2, "flip", (), (), (lit("u", x), lit("u", x, positive=False), lit("u", y, positive=False)), 0)
-    consumer = Step(3, "use", (), (lit("u", x, positive=False),), (), 0)
-    link = CausalLink(2, lit("u", x, positive=False), 3, 0)
+    flip = Step(2, "flip", (), (), (lit("u", x), lit("u", x, positive=False), lit("u", y, positive=False)))
+    consumer = Step(3, "use", (), (lit("u", x, positive=False),), ())
+    link = CausalLink(2, lit("u", x, positive=False), 3)
     plan = plan_with(steps=(flip, consumer), links=(link,), order_pairs=((2, 3),))
     for systematic in (False, True):
         found = detect_new_threats(plan, None, link, systematic)
         assert [(k, s, e) for k, s, e, _ in found] == [(NONSEPARABLE, 2, lit("u", x))]
     # neither promotion nor demotion can move a step off its own link
     assert enumerate_threat_repairs(plan, Flaw(NONSEPARABLE, 2, lit("u", x), link, inserted_at=1)) == []
-    other = CausalLink(2, lit("u", y, positive=False), 3, 0)
+    other = CausalLink(2, lit("u", y, positive=False), 3)
     flaw = Flaw(SEPARABLE, 2, lit("u", x), other, inserted_at=1)
     assert [r.kind for r in enumerate_threat_repairs(plan, flaw)] == [SEPARATE]
 
     # a positive link survives its producer's deletes
-    positive = CausalLink(2, lit("u", x), 3, 0)
+    positive = CausalLink(2, lit("u", x), 3)
     plan = plan_with(steps=(flip, consumer), links=(positive,), order_pairs=((2, 3),))
     for systematic in (False, True):
         assert detect_new_threats(plan, None, positive, systematic) == []
 
 
 def test_detection_separable_vs_nonseparable_vs_span():
-    link = CausalLink(2, lit("at", z), 3, 0)
-    producer = Step(2, "go-tile", (), (), (lit("at", z),), 0)
-    consumer = Step(3, "pickup", (), (lit("at", z),), (), 0)
-    mover = Step(4, "go-hole", (), (), (lit("at", x, positive=False),), 0)
+    link = CausalLink(2, lit("at", z), 3)
+    producer = Step(2, "go-tile", (), (), (lit("at", z),))
+    consumer = Step(3, "pickup", (), (lit("at", z),), ())
+    mover = Step(4, "go-hole", (), (), (lit("at", x, positive=False),))
     plan = plan_with(steps=(producer, consumer, mover), links=(link,), order_pairs=((2, 3),))
     found = detect_new_threats(plan, plan.steps[4], None)
     assert [(k, s) for k, s, _, _ in found] == [(SEPARABLE, 4)]
 
-    clobber = Step(4, "clobber", (), (), (lit("clear", B, positive=False),), 0)
-    glink = CausalLink(2, lit("clear", B), 3, 0)
-    gproducer = Step(2, "p", (), (), (lit("clear", B),), 0)
+    clobber = Step(4, "clobber", (), (), (lit("clear", B, positive=False),))
+    glink = CausalLink(2, lit("clear", B), 3)
+    gproducer = Step(2, "p", (), (), (lit("clear", B),))
     plan2 = plan_with(steps=(gproducer, consumer, clobber), links=(glink,), order_pairs=((2, 3),))
     found2 = detect_new_threats(plan2, plan2.steps[4], None)
     assert [(k, s) for k, s, _, _ in found2] == [(NONSEPARABLE, 4)]
@@ -137,10 +137,10 @@ def test_detection_separable_vs_nonseparable_vs_span():
 
 
 def test_detection_scans_new_link_against_existing_steps():
-    clobber = Step(2, "old", (), (), (lit("g", A, positive=False),), 0)
-    producer = Step(3, "p", (), (), (lit("g", A),), 0)
-    consumer = Step(4, "c", (), (), (), 0)
-    link = CausalLink(3, lit("g", A), 4, 1)
+    clobber = Step(2, "old", (), (), (lit("g", A, positive=False),))
+    producer = Step(3, "p", (), (), (lit("g", A),))
+    consumer = Step(4, "c", (), (), ())
+    link = CausalLink(3, lit("g", A), 4)
     plan = plan_with(steps=(clobber, producer, consumer), links=(link,), order_pairs=((3, 4),))
     found = detect_new_threats(plan, None, link)
     assert [(k, s) for k, s, _, _ in found] == [(NONSEPARABLE, 2)]
@@ -149,10 +149,10 @@ def test_detection_scans_new_link_against_existing_steps():
 
 
 def test_same_sign_threats_only_in_systematic_mode():
-    producer = Step(2, "p", (), (), (lit("g", x),), 0)
-    consumer = Step(3, "c", (), (), (), 0)
-    rival = Step(4, "r", (), (), (lit("g", y),), 0)
-    link = CausalLink(2, lit("g", x), 3, 0)
+    producer = Step(2, "p", (), (), (lit("g", x),))
+    consumer = Step(3, "c", (), (), ())
+    rival = Step(4, "r", (), (), (lit("g", y),))
+    link = CausalLink(2, lit("g", x), 3)
     plan = plan_with(steps=(producer, consumer, rival), links=(link,), order_pairs=((2, 3),))
     assert detect_new_threats(plan, plan.steps[4], None, systematic=False) == []
     found = detect_new_threats(plan, plan.steps[4], None, systematic=True)
@@ -185,8 +185,8 @@ def test_open_repair_categories_and_cost():
 
 
 def test_open_repair_excludes_steps_ordered_after_consumer():
-    producer = Step(2, "stack", (), (), (lit("on", A, B),), 0)
-    consumer = Step(3, "needs", (), (lit("on", A, B),), (), 0)
+    producer = Step(2, "stack", (), (), (lit("on", A, B),))
+    consumer = Step(3, "needs", (), (lit("on", A, B),), ())
     open_flaw = Flaw(OPEN, 3, lit("on", A, B), None, inserted_at=0)
     base = plan_with(steps=(producer, consumer), agenda=(open_flaw,))
     repairs = enumerate_open_repairs(base, open_flaw, MINI2)
@@ -269,8 +269,8 @@ def test_refresh_agenda_counts_and_identity():
 
 
 def test_cached_cost_survives_plan_changes():
-    producer = Step(2, "stack", (), (), (lit("on", A, B),), 0)
-    consumer = Step(3, "needs", (), (lit("on", A, B),), (), 0)
+    producer = Step(2, "stack", (), (), (lit("on", A, B),))
+    consumer = Step(3, "needs", (), (lit("on", A, B),), ())
     open_flaw = Flaw(OPEN, 3, lit("on", A, B), None, inserted_at=0, cached_cost=2)
     base = plan_with(steps=(producer, consumer), agenda=(open_flaw,))
     assert RepairTable(base, MINI2).cost(open_flaw) == 2
@@ -328,7 +328,7 @@ def test_classification_tracks_forced_complementary():
 
         def on_expand(self, plan, flaw, children):
             for f in plan.agenda:
-                if f.is_threat and f.literal.positive != f.link.condition.positive:
+                if f.kind != OPEN and f.literal.positive != f.link.condition.positive:
                     forced = forced_complementary(f.literal, f.link.condition, plan.bindings)
                     assert (f.kind == NONSEPARABLE) == forced
                     self.seen += 1

@@ -138,7 +138,7 @@ def test_validate_flags_link_ordering_breach():
     prob = mini_problem("(q A)", "(p A)")
     base = make_skeletal_plan(MINI, prob)
     # a link whose producer does not precede its consumer
-    bad_link = CausalLink(GOAL_ID, lit("p", const("A")), START_ID, 0)
+    bad_link = CausalLink(GOAL_ID, lit("p", const("A")), START_ID)
     p = PartialPlan(base.steps, (bad_link,), base.orderings, base.bindings, ())
     result = validate_solution(p, MINI, prob)
     assert not result

@@ -6,6 +6,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from poclab.plan import (
     OrderingStore,
     PartialPlan,
     Step,
+    instantiate_step,
     make_skeletal_plan,
     serialize,
     validate_solution,
@@ -44,13 +46,13 @@ from poclab.search import (
     refinements,
 )
 from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
-from poclab.terms import BindingStore, const, lit
+from poclab.terms import BindingStore, const, lit, var
 
 
 def test_rank_weighted_sums():
     q, not_q = lit("q", const("A")), lit("q", const("A"), positive=False)
-    a, b = Step(2, "a", (), (), (q,), 0), Step(3, "b", (), (), (not_q,), 0)
-    link = CausalLink(2, q, GOAL_ID, 0)
+    a, b = Step(2, "a", (), (), (q,)), Step(3, "b", (), (), (not_q,))
+    link = CausalLink(2, q, GOAL_ID)
     opens = [Flaw(OPEN, GOAL_ID, lit("p", const(n)), None, i) for i, n in enumerate("ABC")]
     threat = Flaw(NONSEPARABLE, 3, not_q, link, 3)
     p = plan_with(steps=(a, b), links=(link,), agenda=opens + [threat])
@@ -175,6 +177,43 @@ def test_reverse_flag_reverses_new_step_preconditions():
     assert new_open_preds(reversed_[-1]) == ["clear", "clear", "on-table"]
 
 
+def test_refinements_number_past_a_hand_built_plan():
+    """Counters resume past the plan they are given: a new step's
+    parameters get variable ids above every variable in the plan, and
+    every flaw a refinement adds gets a stamp above every agenda stamp.
+    Checked on a hand-built plan and again on its new-step child."""
+    dom, _ = bundled("blocks")
+    move = next(op for op in dom.operators if op.name == "move")
+    held = instantiate_step(move, 2, count(40))  # ?b ?x ?y are vids 40..42
+    marker = Step(3, "mark", (), (), (lit("clear", var("?w", 60)),))  # a variable in no params
+    target = Flaw(OPEN, GOAL_ID, lit("on", const("B"), const("C")), None, 3)
+    agenda = [target, Flaw(OPEN, GOAL_ID, lit("on", const("A"), const("B")), None, 17)]
+    agenda += [Flaw(OPEN, 2, pre, None, 5 + i) for i, pre in enumerate(held.preconds)]
+    plan = plan_with(steps=(held, marker), agenda=agenda)
+
+    def vids(p):
+        terms = [t for st in p.steps for l in st.preconds + st.effects for t in l.args]
+        return {t.vid for t in terms} | {t.vid for st in p.steps for t in st.params}
+
+    def check(parent, flaw):
+        kids = refinements(parent, flaw, dom)
+        grown = [k for k in kids if len(k.steps) > len(parent.steps)]
+        assert grown  # move and move-from-table
+        top_vid = max(vids(parent))
+        top_stamp = max(f.inserted_at for f in parent.agenda)
+        for kid in grown:
+            assert min(t.vid for t in kid.steps[-1].params) > top_vid
+        for kid in kids:
+            added = [f for f in kid.agenda if not any(f is g for g in parent.agenda)]
+            assert all(f.inserted_at > top_stamp for f in added)
+        return grown[0]
+
+    child = check(plan, target)
+    assert max(vids(child)) > 60
+    new_step = child.steps[-1].id
+    check(child, next(f for f in child.agenda if f.kind == OPEN and f.step == new_step))
+
+
 def test_dmin_feasible():
     from poclab.plan import NONSEPARABLE, CausalLink, Step
 
@@ -182,12 +221,12 @@ def test_dmin_feasible():
 
     # two ground threats whose only repairs force s4 before and after s5
     p_lit, q_lit = lit("p", const("A")), lit("q", const("A"))
-    s2 = Step(2, "p2", (), (), (p_lit,), 0)
-    s3 = Step(3, "c3", (), (), (), 0)
-    s4 = Step(4, "t4", (), (), (p_lit.negated(), q_lit), 0)
-    s5 = Step(5, "t5", (), (), (q_lit.negated(), p_lit), 0)
-    link_a = CausalLink(2, p_lit, 3, 0)
-    link_b = CausalLink(4, q_lit, 3, 0)
+    s2 = Step(2, "p2", (), (), (p_lit,))
+    s3 = Step(3, "c3", (), (), ())
+    s4 = Step(4, "t4", (), (), (p_lit.negated(), q_lit))
+    s5 = Step(5, "t5", (), (), (q_lit.negated(), p_lit))
+    link_a = CausalLink(2, p_lit, 3)
+    link_b = CausalLink(4, q_lit, 3)
     fa = Flaw(NONSEPARABLE, 5, p_lit.negated(), link_a, 1)
 
     one = plan_with(steps=(s2, s3, s4, s5), links=(link_a,), order_pairs=((2, 3),), agenda=(fa,))
@@ -577,7 +616,7 @@ def test_systematic_mode_detects_same_sign_threats():
 
         def on_enqueue(self, plan):
             for f in plan.agenda:
-                if f.is_threat and f.literal.positive == f.link.condition.positive:
+                if f.kind != OPEN and f.literal.positive == f.link.condition.positive:
                     self.count += 1
 
     off_obs, on_obs = CountSameSign(), CountSameSign()
