@@ -23,6 +23,7 @@ inherit it.  Initial states are ground and positive (closed world).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .terms import Literal, const
 
@@ -75,6 +76,20 @@ class Domain:
             if op.name == name:
                 return op
         raise KeyError(name)
+
+    @cached_property
+    def establishers(self) -> dict[tuple[str, bool], tuple[tuple[Operator, int, SchemaLiteral], ...]]:
+        """(pred, polarity) -> every (operator, effect index, schema) whose
+        effect could establish a condition of that predicate and sign, in
+        operator order.  The index counts distinct effects, as
+        plan.instantiate_step keeps them.  Built on first read and kept
+        on this domain; a domain with other operators is another object
+        and builds its own."""
+        index: dict[tuple[str, bool], list[tuple[Operator, int, SchemaLiteral]]] = {}
+        for op in self.operators:
+            for i, eff in enumerate(dict.fromkeys(op.effects)):
+                index.setdefault((eff.pred, eff.positive), []).append((op, i, eff))
+        return {k: tuple(v) for k, v in index.items()}
 
     @property
     def constants(self) -> tuple[str, ...]:

@@ -2,7 +2,11 @@
 
 The repair cost of an open condition is I + S + N: establishers in the
 initial state, in effects of existing steps not ordered after the open's
-own step, and in effects of library operators.  Threats cost at most two
+own step, and in effects of library operators.  The initial state is
+the start step's effects, scanned as every other step's are; a ground
+negative condition absent from them holds by the closed world.  Library
+establishers come from the domain's own index, Domain.establishers, so
+this module keeps no state between calls.  Threats cost at most two
 (promotion, demotion) plus, for separable threats, one separation per
 argument pair not already forced equal.  Threat liveness is re-validated
 lazily, when the search refreshes a popped node's agenda, not eagerly on
@@ -84,69 +88,13 @@ _DEMOTE = Repair(DEMOTE)
 _CLOSED_WORLD = Repair(FROM_START, step=START_ID)
 
 
-def _ground_atom(cond: Literal, store: BindingStore) -> tuple[str, tuple[str, ...]] | None:
-    """(pred, constant names) if every argument is bound to a constant."""
-    names = []
-    for t in cond.args:
-        c = store.constant_of(t)
-        if c is None:
-            return None
-        names.append(c.name)
-    return (cond.pred, tuple(names))
-
-
-_MEMO_SIZE = 64
-
-
-def _memo_by_identity(build):
-    """Memoize build(arg) on id(arg): a probe costs an id() and a dict
-    lookup, not a hash of the whole tuple.  Each entry holds arg, so its
-    id cannot be reused while the entry lives; the memo is cleared when
-    it reaches _MEMO_SIZE entries."""
-    memo: dict[int, tuple[object, object]] = {}
-
-    def lookup(arg):
-        hit = memo.get(id(arg))
-        if hit is not None:
-            return hit[1]
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
-        value = build(arg)
-        memo[id(arg)] = (arg, value)
-        return value
-
-    lookup.memo = memo
-    return lookup
-
-
-@_memo_by_identity
-def _init_atoms(start_effects: tuple[Literal, ...]) -> frozenset[tuple[str, tuple[str, ...]]]:
-    return frozenset((l.pred, tuple(t.name for t in l.args)) for l in start_effects)
-
-
-@_memo_by_identity
-def _init_by_pred(start_effects: tuple[Literal, ...]) -> dict[str, tuple[Literal, ...]]:
-    index: dict[str, list[Literal]] = {}
-    seen: set[Literal] = set()
-    for l in start_effects:
-        if l in seen:
-            continue
-        seen.add(l)
-        index.setdefault(l.pred, []).append(l)
-    return {k: tuple(v) for k, v in index.items()}
-
-
-@_memo_by_identity
-def _library_effects(
-    operators: tuple[Operator, ...]
-) -> dict[tuple[str, bool], tuple[tuple[Operator, int, SchemaLiteral], ...]]:
-    """(pred, polarity) -> candidate (operator, effect index, schema).
-    The index counts distinct effects, as instantiate_step keeps them."""
-    index: dict[tuple[str, bool], list[tuple[Operator, int, SchemaLiteral]]] = {}
-    for op in operators:
-        for i, eff in enumerate(dict.fromkeys(op.effects)):
-            index.setdefault((eff.pred, eff.positive), []).append((op, i, eff))
-    return {k: tuple(v) for k, v in index.items()}
+def _closed_world(cond: Literal, store: BindingStore, start: Step) -> bool:
+    """Closed world: a negative condition holds initially iff it is
+    ground and its atom is absent from the start step's effects."""
+    args = tuple(map(store.constant_of, cond.args))
+    if None in args:
+        return False
+    return not any(eff.pred == cond.pred and eff.args == args for eff in start.effects)
 
 
 def schema_effect_unifies(cond: Literal, eff: SchemaLiteral, store: BindingStore) -> bool:
@@ -291,22 +239,18 @@ def enumerate_open_repairs(
 
     start = plan.steps[START_ID]
     if cond.positive:
-        for eff in _init_by_pred(start.effects).get(cond.pred, ()):
-            if args_unifiable(cond, eff, store):
+        for eff in start.effects:  # effects are distinct by construction
+            if eff.pred == cond.pred and args_unifiable(cond, eff, store):
                 out.append(Repair(FROM_START, step=START_ID, effect=eff))
                 if first:
                     return out
-    else:
-        # Closed world: a ground negative condition holds initially iff
-        # its atom is absent from the initial state.
-        atom = _ground_atom(cond, store)
-        if atom is not None and atom not in _init_atoms(start.effects):
-            out.append(_CLOSED_WORLD)
-            if first:
-                return out
+    elif _closed_world(cond, store, start):
+        out.append(_CLOSED_WORLD)
+        if first:
+            return out
 
     new: list[Repair] = []
-    for op, i, eff in _library_effects(domain.operators).get((cond.pred, cond.positive), ()):
+    for op, i, eff in domain.establishers.get((cond.pred, cond.positive), ()):
         if schema_effect_unifies(cond, eff, store):
             new.append(Repair(NEW_STEP, effect=eff, operator=op, effect_index=i))
             if first:
@@ -390,10 +334,13 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     moved = frozenset(rebound or ())
     touched = not moved.isdisjoint(map(get, cond.args, cond.args))
     out: list[Repair] = []
-    if touched and not cond.positive and (not parent or parent[0] is not _CLOSED_WORLD):
-        atom = _ground_atom(cond, store)
-        if atom is not None and atom not in _init_atoms(plan.steps[START_ID].effects):
-            out.append(_CLOSED_WORLD)
+    if (
+        touched
+        and not cond.positive
+        and (not parent or parent[0] is not _CLOSED_WORLD)
+        and _closed_world(cond, store, plan.steps[START_ID])
+    ):
+        out.append(_CLOSED_WORLD)
     for r in parent:
         eff = r.effect
         if r.kind == NEW_STEP:

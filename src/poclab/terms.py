@@ -258,10 +258,3 @@ def args_unifiable(a: Literal, b: Literal, store: BindingStore) -> bool:
         return False
     return _union(zip(a.args, b.args), store) is not None
 
-
-def forced_complementary(e: Literal, f: Literal, store: BindingStore) -> bool:
-    """The nonseparable-threat test: e and the negation of f carry the
-    same predicate and every argument pair is already forced equal."""
-    if e.pred != f.pred or e.positive == f.positive or len(e.args) != len(f.args):
-        return False
-    return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))

@@ -16,6 +16,15 @@ t, u, v = var("?t", 103), var("?u", 104), var("?v", 105)
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
 
 
+def forced_complementary(e, f, store):
+    """Reference for the nonseparable-threat test: e and the negation of
+    f carry the same predicate and every argument pair is already forced
+    equal."""
+    if e.pred != f.pred or e.positive == f.positive or len(e.args) != len(f.args):
+        return False
+    return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))
+
+
 def plan_with(steps=(), links=(), order_pairs=(), bindings=EMPTY_STORE, agenda=()):
     """Node with explicit parts; `steps` excludes the two dummies."""
     start = Step(START_ID, "start", (), (), ())

@@ -1,17 +1,16 @@
 """Flaw detection, classification, repair enumeration, repair costs."""
 
-from poclab.domains import bundled, parse_domain, parse_problem
+from dataclasses import replace
+from itertools import count
+
+from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import (
-    _MEMO_SIZE,
     DEMOTE,
     FROM_START,
     NEW_STEP,
     PROMOTE,
     REUSE,
     SEPARATE,
-    _init_atoms,
-    _init_by_pred,
-    _library_effects,
     detect_new_threats,
     enumerate_open_repairs,
     enumerate_repairs,
@@ -30,12 +29,13 @@ from poclab.plan import (
     Flaw,
     PartialPlan,
     Step,
+    instantiate_step,
     make_skeletal_plan,
 )
 from poclab.search import SearchConfig, plan_search, refinements
 from poclab.strategies import RepairTable, builtin
-from poclab.terms import const, forced_complementary, lit, var
-from helpers import plan_with, separable_threat_fixture
+from poclab.terms import const, lit, unify, var
+from helpers import forced_complementary, plan_with, separable_threat_fixture
 
 A, B = const("A"), const("B")
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
@@ -357,31 +357,61 @@ def test_exact_cost_equals_enumeration_everywhere():
     assert obs.samples > 40
 
 
-def test_init_index_follows_the_start_effects_object():
-    # two problems whose start effects are equal but distinct tuples
-    dom, probs = bundled("blocks")
-    starts = [make_skeletal_plan(dom, probs[0]).steps[START_ID].effects for _ in range(2)]
-    assert starts[0] == starts[1] and starts[0] is not starts[1]
-    _init_by_pred.memo.clear()
-    indexes = [_init_by_pred(effs) for effs in starts]
-    assert indexes[0] is not indexes[1]
-    for effs, index in zip(starts, indexes):
-        assert _init_by_pred(effs) is index
-        assert sorted(index) == sorted({l.pred for l in effs})
-        for pred, lits in index.items():
-            assert lits == tuple(l for l in effs if l.pred == pred)
+def test_domain_establishers_index_every_distinct_effect():
+    for name in bundled_names():
+        dom = bundled(name)[0]
+        index = dom.establishers
+        assert dom.establishers is index  # built once per domain
+        keys = {(e.pred, e.positive) for op in dom.operators for e in op.effects}
+        assert set(index) == keys
+        for key in keys:
+            assert index[key] == tuple(
+                (op, i, eff)
+                for op in dom.operators
+                for i, eff in enumerate(dict.fromkeys(op.effects))
+                if (eff.pred, eff.positive) == key
+            )
+        for cands in index.values():
+            for op, i, eff in cands:  # the index a new step's effects use
+                step = instantiate_step(op, 2, count(1000))
+                assert (step.effects[i].pred, step.effects[i].positive) == (eff.pred, eff.positive)
+        one = replace(dom, operators=dom.operators[:1])
+        assert one.establishers is not index
+        assert {op for cands in one.establishers.values() for op, _, _ in cands} == {dom.operators[0]}
 
 
-def test_identity_memos_stay_bounded_and_never_go_stale():
-    # Each tuple is dropped by the caller after one lookup; a memo that
-    # did not hold its key would see the id reused and answer stale.
-    for i in range(3 * _MEMO_SIZE):
-        effs = (lit("p", const(f"C{i}")), lit("q", const("A")))
-        assert _init_by_pred(effs) == {"p": effs[:1], "q": effs[1:]}
-        assert _init_atoms(effs) == {("p", (f"C{i}",)), ("q", ("A",))}
-        ops = bundled("blocks")[0].operators[: 1 + i % 3]
-        assert {op.name for cands in _library_effects(ops).values() for op, _, _ in cands} == {
-            op.name for op in ops
-        }
-        for memo in (_init_by_pred.memo, _init_atoms.memo, _library_effects.memo):
-            assert len(memo) <= _MEMO_SIZE
+def test_init_repairs_read_each_plans_own_start_step():
+    # Two problems of one domain, enumerated alternately, over the root
+    # plan and its children: the children's preconditions unify with
+    # start effects, and the two problems' initial states differ.
+    def nodes(dom, prob):
+        root = make_skeletal_plan(dom, prob)
+        return [root] + [c for f in root.agenda for c in refinements(root, f, dom)]
+
+    for domain, names in (
+        ("tileworld", ("tileworld-1", "tileworld-4")),
+        ("blocks", ("sussman", "tower4")),
+        ("briefcase", ("get-paid", "get-paid-bc-at-work")),
+    ):
+        dom, probs = bundled(domain)
+        pair = [nodes(dom, next(p for p in probs if p.name == n)) for n in names]
+        assert pair[0][0].steps[START_ID].effects != pair[1][0].steps[START_ID].effects
+        seen = 0
+        for plans in zip(*pair):
+            for plan in plans:
+                start = plan.steps[START_ID].effects
+                for f in plan.agenda:
+                    if f.kind != OPEN:
+                        continue
+                    got = [r for r in enumerate_open_repairs(plan, f, dom) if r.kind == FROM_START]
+                    cond = f.literal
+                    if cond.positive:
+                        want = [e for e in start if unify(cond, e, plan.bindings) is not None]
+                        assert [r.effect for r in got] == want
+                        seen += len(want)
+                    else:
+                        atom = cond.negated()
+                        ground = [plan.bindings.constant_of(a) for a in atom.args]
+                        holds = None not in ground and lit(atom.pred, *ground) not in start
+                        assert [r.effect for r in got] == ([None] if holds else [])
+        assert seen > 0

@@ -14,11 +14,11 @@ from poclab.terms import (
     Term,
     args_unifiable,
     const,
-    forced_complementary,
     lit,
     unify,
     var,
 )
+from helpers import forced_complementary
 
 A, B, C = const("A"), const("B"), const("C")
 x, y, z = var("?x", 0), var("?y", 1), var("?z", 2)
