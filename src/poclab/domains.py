@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
-from .terms import Literal, const
+from .terms import Literal, Term, const
 
 DOMAIN_EXTENSION = ".dom"
 PROBLEM_EXTENSION = ".prob"
@@ -57,12 +58,44 @@ class SchemaLiteral:
         return f"({inner})" if self.positive else f"(not ({inner}))"
 
 
+class OperatorTemplate(NamedTuple):
+    """An operator's literals as argument positions, for
+    plan.instantiate_step.  A position indexes the step's fresh parameter
+    variables (one per parameter, in order) followed by `constants`."""
+
+    params: tuple[int, ...]
+    constants: tuple[Term, ...]
+    preconds: tuple[tuple[bool, str, tuple[int, ...]], ...]  # (positive, pred, positions)
+    effects: tuple[tuple[bool, str, tuple[int, ...]], ...]  # distinct effects only
+
+
 @dataclass(frozen=True)
 class Operator:
     name: str
     params: tuple[str, ...]
     preconds: tuple[SchemaLiteral, ...]
     effects: tuple[SchemaLiteral, ...]
+
+    @cached_property
+    def template(self) -> OperatorTemplate:
+        """Built on first use and kept on the operator.  Effects collapse
+        here, once, as Domain.establishers numbers them: instantiation is
+        injective, so distinct schemas give distinct instances.  Plain
+        data, so a domain still pickles for worker processes."""
+        slot = {p: i for i, p in enumerate(self.params)}
+        literals = self.preconds + self.effects
+        names = tuple(dict.fromkeys(a for l in literals for a in l.args if not a.startswith("?")))
+        slot.update((c, len(self.params) + k) for k, c in enumerate(names))
+
+        def shape(ls) -> tuple[tuple[bool, str, tuple[int, ...]], ...]:
+            return tuple((l.positive, l.pred, tuple(slot[a] for a in l.args)) for l in ls)
+
+        return OperatorTemplate(
+            tuple(slot[p] for p in self.params),
+            tuple(map(const, names)),
+            shape(self.preconds),
+            shape(dict.fromkeys(self.effects)),
+        )
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,23 @@ negative condition absent from them holds by the closed world.  Library
 establishers come from the domain's own index, Domain.establishers, so
 this module keeps no state between calls.  Threats cost at most two
 (promotion, demotion) plus, for separable threats, one separation per
-argument pair not already forced equal.  Threat liveness is re-validated
-lazily, when the search refreshes a popped node's agenda, not eagerly on
-every constraint addition.
+argument pair not already forced equal.  A refinement's new threats are
+looked for in a (step, link) pair only when some effect of the step has
+the link condition's predicate and the opposite sign (either sign under
+systematic).  Threat liveness is re-validated lazily, when the search
+refreshes a popped node's agenda, not eagerly on every constraint
+addition.
 
 The costs, the refinements and the dead-end probe share one scan per
 flaw kind: a cost is the length of the enumeration, each enumerated
 repair becomes a child, and the probe is the enumeration stopped at its
-first hit.  An open condition is enumerated once per lineage and
-re-checked per delta: a refinement only adds constraints, so a child
-derives the condition's repairs from its parent's list
-(rederive_open_repairs).  The search keeps a node's repair lists in one
-strategies.RepairTable.
+first hit.  The probe of an open condition tries the library before the
+initial state, and never the plan's other steps, which are library
+instances; the full enumeration keeps the order init, reuse, new step.
+An open condition is enumerated once per lineage and re-checked per
+delta: a refinement only adds constraints, so a child derives the
+condition's repairs from its parent's list (rederive_open_repairs).  The
+search keeps a node's repair lists in one strategies.RepairTable.
 """
 
 from __future__ import annotations
@@ -60,7 +65,9 @@ ESTABLISH_KINDS = (FROM_START, REUSE, NEW_STEP)
 
 
 class Repair(NamedTuple):
-    """One way to fix one flaw.  Only the fields for its kind are set."""
+    """One way to fix one flaw.  Only the fields for its kind are set.
+    The enumeration builds establishments positionally, which is
+    cheaper than by keyword for a named tuple."""
 
     kind: str
     step: int = -1                       # init / reuse: producing step id
@@ -115,7 +122,7 @@ def schema_effect_unifies(cond: Literal, eff: SchemaLiteral, store: BindingStore
             pairs.append((carg, bound[sarg]))
         else:
             bound[sarg] = carg  # first occurrence binds freely
-    return _union(pairs, store) is not None
+    return not pairs or _union(pairs, store) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +146,17 @@ def _step_threatens_link(
 ) -> list[tuple[str, int, Literal, CausalLink]]:
     # A step's deletes apply before its adds, so the producer undoes its
     # own link only by adding what a negative condition denies.
+    cond = link.condition
     own = step.id == link.producer
-    if step.id == link.consumer or (own and link.condition.positive):
+    if step.id == link.consumer or (own and cond.positive):
         return []
     if plan.orderings.precedes(step.id, link.producer) or plan.orderings.precedes(link.consumer, step.id):
         return []
     out = []
     for eff in step.effects:  # effects are distinct by construction
-        if own and not eff.positive:
+        if eff.pred != cond.pred or (own and not eff.positive):
             continue
-        kind = _threat_kind(eff, link.condition, plan.bindings, systematic)
+        kind = _threat_kind(eff, cond, plan.bindings, systematic)
         if kind is not None:
             out.append((kind, step.id, eff, link))
     return out
@@ -165,17 +173,27 @@ def detect_new_threats(
 
     Order is deterministic: the new step's effects against existing
     links first (link creation order), then existing steps against the
-    new link (step id order).
+    new link (step id order).  A (step, link) pair is tested only when
+    some effect of the step has the link's predicate and the opposite
+    sign (under systematic, any sign): no other pair can hold a threat,
+    and most pairs fail here, before any ordering test.
     """
     found: list[tuple[str, int, Literal, CausalLink]] = []
     if new_step is not None:
+        # the (pred, sign) of every condition an effect can threaten
+        hit = {(e.pred, s) for e in new_step.effects for s in (True, False) if systematic or s != e.positive}
         for link in plan.links:
-            found.extend(_step_threatens_link(plan, new_step, link, systematic))
+            if (link.condition.pred, link.condition.positive) in hit:
+                found.extend(_step_threatens_link(plan, new_step, link, systematic))
     if new_link is not None:
+        pred, positive = new_link.condition.pred, new_link.condition.positive
         for step in plan.steps:
             if new_step is not None and step.id == new_step.id:
                 continue  # covered by the pass above
-            found.extend(_step_threatens_link(plan, step, new_link, systematic))
+            for e in step.effects:
+                if e.pred == pred and (systematic or e.positive != positive):
+                    found.extend(_step_threatens_link(plan, step, new_link, systematic))
+                    break
     return found
 
 
@@ -231,35 +249,37 @@ def enumerate_open_repairs(
     init, reuse, new step, so that len(result) is the flaw's repair cost
     and the categories can feed new-step-preference tie-breaking.
 
-    With first=True, return as soon as one establishment is found; the
-    library is then tried, and the plan's steps are not."""
+    With first=True, return as soon as one establishment is found,
+    trying the library before the initial state and never the plan's
+    other steps: every such step is a library instance, so its effect
+    unifies only if its schema does.  The library is tried first because
+    its index holds a few schemas per predicate, the start step every
+    initial literal."""
     cond = flaw.literal
     store = plan.bindings
+    library = domain.establishers.get((cond.pred, cond.positive), ())
+    if first:
+        for op, i, eff in library:
+            if schema_effect_unifies(cond, eff, store):
+                return [Repair(NEW_STEP, -1, eff, op, i)]
     out: list[Repair] = []
 
     start = plan.steps[START_ID]
     if cond.positive:
         for eff in start.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and args_unifiable(cond, eff, store):
-                out.append(Repair(FROM_START, step=START_ID, effect=eff))
+                out.append(Repair(FROM_START, START_ID, eff))
                 if first:
                     return out
     elif _closed_world(cond, store, start):
         out.append(_CLOSED_WORLD)
-        if first:
-            return out
-
-    new: list[Repair] = []
-    for op, i, eff in domain.establishers.get((cond.pred, cond.positive), ()):
-        if schema_effect_unifies(cond, eff, store):
-            new.append(Repair(NEW_STEP, effect=eff, operator=op, effect_index=i))
-            if first:
-                return new
     if first:
-        return out  # steps are library instances: no schema unified, so no step effect can
+        return out
 
     _append_reuse(out, plan, flaw, GOAL_ID + 1)
-    out.extend(new)
+    for op, i, eff in library:
+        if schema_effect_unifies(cond, eff, store):
+            out.append(Repair(NEW_STEP, -1, eff, op, i))
     return out
 
 
@@ -274,7 +294,7 @@ def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: 
             continue
         for eff in st.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
-                out.append(Repair(REUSE, step=st.id, effect=eff))
+                out.append(Repair(REUSE, st.id, eff))
 
 
 class Delta(NamedTuple):

@@ -15,8 +15,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
 
-from .domains import Domain, Operator, Problem, SchemaLiteral
-from .terms import EMPTY_STORE, BindingStore, Literal, Term, const, var
+from .domains import Domain, Operator, Problem
+from .terms import EMPTY_STORE, BindingStore, Literal, Term, const
 
 START_ID = 0
 GOAL_ID = 1
@@ -154,23 +154,21 @@ class PartialPlan:
         return len(self.agenda) - self.n_open
 
 
-def instantiate_literal(schema: SchemaLiteral, mapping: dict[str, Term]) -> Literal:
-    args = tuple(mapping[a] if a.startswith("?") else const(a) for a in schema.args)
-    return Literal(schema.positive, schema.pred, args)
-
-
 def instantiate_step(op: Operator, sid: int, vids: Iterator[int]) -> Step:
     """Fresh copy of an operator: every parameter gets a brand-new
     variable so ids never collide across steps in one search.  Literally
     duplicate effects collapse (establishers and threats count per
-    distinct effect literal anyway)."""
-    mapping = {p: var(p, next(vids)) for p in op.params}
+    distinct effect literal anyway); the operator's template lists each
+    literal as argument positions, so no argument is looked up by name."""
+    t = op.template
+    values = [*map(Term, op.params, vids), *t.constants]  # map takes one id per parameter
+    get = values.__getitem__
     return Step(
-        id=sid,
-        name=op.name,
-        params=tuple(mapping[p] for p in op.params),
-        preconds=tuple(instantiate_literal(l, mapping) for l in op.preconds),
-        effects=tuple(dict.fromkeys(instantiate_literal(l, mapping) for l in op.effects)),
+        sid,
+        op.name,
+        tuple(map(get, t.params)),
+        tuple([Literal(pos, pred, tuple(map(get, idx))) for pos, pred, idx in t.preconds]),
+        tuple([Literal(pos, pred, tuple(map(get, idx))) for pos, pred, idx in t.effects]),
     )
 
 

@@ -203,16 +203,16 @@ def _with_cached_costs(plan: PartialPlan, n_new: int, domain: Domain) -> Partial
 def _apply_repair(
     plan: PartialPlan,
     flaw: Flaw,
+    rest: tuple[Flaw, ...],
     repair: Repair,
     domain: Domain,
     config: SearchConfig,
     ctx: SearchContext,
     cached: bool,
 ) -> PartialPlan:
-    """Build the child plan for one enumerated repair.  Enumeration
-    pre-validates consistency, so application never fails."""
-    rest = _without(plan.agenda, flaw)
-
+    """Build the child plan for one enumerated repair; `rest` is the
+    agenda without `flaw`.  Enumeration pre-validates consistency, so
+    application never fails."""
     if repair.kind not in ESTABLISH_KINDS:  # threat repairs add no flaws
         orderings, bindings = plan.orderings, plan.bindings
         if repair.kind == PROMOTE:
@@ -230,7 +230,7 @@ def _apply_repair(
         steps = plan.steps + (new_step,)
         orderings = plan.orderings.with_step(producer)
         preconds = new_step.preconds[::-1] if config.reverse_preconditions else new_step.preconds
-        opens = tuple(Flaw(OPEN, producer, pre, None, next(ctx.stamps)) for pre in preconds)
+        opens = tuple([Flaw(OPEN, producer, pre, None, next(ctx.stamps)) for pre in preconds])
     else:
         # effect is None only for a closed-world negative condition
         producer, new_step, effect = repair.step, None, repair.effect
@@ -239,16 +239,14 @@ def _apply_repair(
     if bindings is None:
         raise AssertionError(f"enumerated {repair.kind} repair failed to unify")
     link = CausalLink(producer, flaw.literal, flaw.step)
-    child = PartialPlan(
-        steps, plan.links + (link,), orderings.with_ordering(producer, flaw.step), bindings,
-        rest + opens,
-    )
+    links = plan.links + (link,)
+    orderings = orderings.with_ordering(producer, flaw.step)
+    agenda = rest + opens
+    child = PartialPlan(steps, links, orderings, bindings, agenda)
     threats = detect_new_threats(child, new_step, link, config.systematic)
     if threats:
-        flaws = tuple(
-            Flaw(kind, sid, lit, lk, next(ctx.stamps)) for kind, sid, lit, lk in threats
-        )
-        child = replace(child, agenda=child.agenda + flaws)
+        agenda += tuple([Flaw(kind, sid, lit, lk, next(ctx.stamps)) for kind, sid, lit, lk in threats])
+        child = PartialPlan(steps, links, orderings, bindings, agenda)
     if cached:
         child = _with_cached_costs(child, len(opens) + len(threats), domain)
     return child
@@ -267,7 +265,8 @@ def refinements(
     ctx = ctx or SearchContext.resuming(plan)
     table = table or RepairTable(plan, domain)
     cached = config.cost_mode == "cached"
-    return [_apply_repair(plan, flaw, r, domain, config, ctx, cached) for r in table.repairs(flaw)]
+    rest = _without(plan.agenda, flaw)
+    return [_apply_repair(plan, flaw, rest, r, domain, config, ctx, cached) for r in table.repairs(flaw)]
 
 
 def dmin_feasible(plan: PartialPlan) -> bool:

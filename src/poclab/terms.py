@@ -135,16 +135,24 @@ class BindingStore:
     def _joined(self, leader: dict[Term, Term] | None) -> BindingStore | None:
         """This store with _union's answer applied: None stays None, {}
         is this store, and each merged representative points at its
-        group's leader."""
+        group's leader.  Only the _rep entries of merged classes and the
+        disequalities that name a merged representative are rewritten;
+        the rest is kept as it is.  A representative that is no key of
+        _rep leads a singleton class, such as a new step's fresh
+        variable, so when no merged one is a key no entry is scanned."""
         if not leader:
             return None if leader is None else self
-        get = leader.get
-        rep = {t: get(r, r) for t, r in self._rep.items()}
+        rep = self._rep.copy()
+        if not rep.keys().isdisjoint(leader):
+            for t, r in self._rep.items():
+                if r in leader:
+                    rep[t] = leader[r]
         rep.update(leader)
         for keep in leader.values():
             rep[keep] = keep
         neq = self._neq
-        if neq:
+        if neq and any(x in leader or y in leader for x, y in neq):
+            get = leader.get
             neq = frozenset(_pair(get(x, x), get(y, y)) for x, y in neq)
         return BindingStore(rep, neq)
 

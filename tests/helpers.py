@@ -1,5 +1,6 @@
 """Hand-built plan nodes shared across test modules."""
 
+from poclab.flaws import _threat_kind
 from poclab.plan import (
     GOAL_ID,
     SEPARABLE,
@@ -10,7 +11,7 @@ from poclab.plan import (
     PartialPlan,
     Step,
 )
-from poclab.terms import EMPTY_STORE, lit, var
+from poclab.terms import EMPTY_STORE, Literal, const, lit, var
 
 t, u, v = var("?t", 103), var("?u", 104), var("?v", 105)
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
@@ -23,6 +24,45 @@ def forced_complementary(e, f, store):
     if e.pred != f.pred or e.positive == f.positive or len(e.args) != len(f.args):
         return False
     return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))
+
+
+def instantiate_literal(schema, mapping):
+    """Reference for plan.instantiate_step's literals: each schema
+    argument looked up by name, a parameter in `mapping`, any other name
+    a constant."""
+    args = tuple(mapping[a] if a.startswith("?") else const(a) for a in schema.args)
+    return Literal(schema.positive, schema.pred, args)
+
+
+def unfiltered_threats(plan, new_step, new_link, systematic):
+    """Reference for flaws.detect_new_threats: the same delta scanned in
+    the same order, with every effect of every (step, link) pair in a
+    link's span tested by flaws._threat_kind and no predicate filter."""
+
+    def pair(step, link):
+        own = step.id == link.producer
+        if step.id == link.consumer or (own and link.condition.positive):
+            return []
+        if plan.orderings.precedes(step.id, link.producer) or plan.orderings.precedes(link.consumer, step.id):
+            return []
+        out = []
+        for eff in step.effects:
+            if own and not eff.positive:
+                continue  # deletes apply before adds: a producer threatens its link only by adding
+            kind = _threat_kind(eff, link.condition, plan.bindings, systematic)
+            if kind is not None:
+                out.append((kind, step.id, eff, link))
+        return out
+
+    found = []
+    if new_step is not None:
+        for link in plan.links:
+            found += pair(new_step, link)
+    if new_link is not None:
+        for step in plan.steps:
+            if new_step is None or step.id != new_step.id:
+                found += pair(step, new_link)
+    return found
 
 
 def plan_with(steps=(), links=(), order_pairs=(), bindings=EMPTY_STORE, agenda=()):

@@ -1,5 +1,7 @@
 """Benchmark harness: %-overrun math, matrices, CSV determinism."""
 
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from poclab.bench import (
     second_worst,
 )
 from poclab.domains import bundled
-from poclab.search import SearchConfig
+from poclab.search import SearchConfig, plan_search
 from poclab.strategies import builtin
 
 
@@ -191,6 +193,23 @@ def test_parallel_matrix_matches_serial():
     a_records, a_table = small_matrix(jobs=1)
     b_records, b_table = small_matrix(jobs=2)
     assert render_csv(a_records, a_table) == render_csv(b_records, b_table)
+
+
+def test_searched_domains_pickle_and_run_in_workers():
+    # A search builds each operator's instantiation template and keeps it
+    # on the operator, so the domain a worker receives carries it.
+    dom, probs = bundled("tileworld")
+    plan_search(dom, probs[1], builtin("UCPOP"), SearchConfig(node_limit=300))
+    assert all("template" in vars(op) for op in dom.operators)
+    back = pickle.loads(pickle.dumps(dom))
+    assert back == dom
+    assert [op.template for op in back.operators] == [op.template for op in dom.operators]
+    tasks = [(dom, probs[0]), (dom, probs[1])]
+    strategies = [builtin("UCPOP"), builtin("LCFR")]
+    config = SearchConfig(node_limit=2000, seed=0)
+    serial, _ = run_matrix(tasks, strategies, config, (NODE_KIND,), jobs=1)
+    parallel, _ = run_matrix(tasks, strategies, config, (NODE_KIND,), jobs=2)
+    assert [replace(r, seconds=0.0) for r in parallel] == [replace(r, seconds=0.0) for r in serial]
 
 
 def test_read_csv_rejects_bad_header():

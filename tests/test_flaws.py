@@ -3,6 +3,8 @@
 from dataclasses import replace
 from itertools import count
 
+import pytest
+
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import (
     DEMOTE,
@@ -32,10 +34,10 @@ from poclab.plan import (
     instantiate_step,
     make_skeletal_plan,
 )
-from poclab.search import SearchConfig, plan_search, refinements
+from poclab.search import SearchConfig, parse_rank, plan_search, refinements
 from poclab.strategies import RepairTable, builtin
 from poclab.terms import const, lit, unify, var
-from helpers import forced_complementary, plan_with, separable_threat_fixture
+from helpers import forced_complementary, plan_with, separable_threat_fixture, unfiltered_threats
 
 A, B = const("A"), const("B")
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
@@ -157,6 +159,34 @@ def test_same_sign_threats_only_in_systematic_mode():
     assert detect_new_threats(plan, plan.steps[4], None, systematic=False) == []
     found = detect_new_threats(plan, plan.steps[4], None, systematic=True)
     assert [(k, s) for k, s, _, _ in found] == [(SEPARABLE, 4)]
+
+
+@pytest.mark.parametrize(
+    "domain, problem, strategy",
+    [("tileworld", "tileworld-2", "UCPOP"), ("briefcase", "get-paid-bc-at-work", "DSep")],
+)
+def test_threat_detection_equals_the_unfiltered_reference(domain, problem, strategy):
+    # Every establishing child of the search, re-detected with systematic
+    # off and on whatever the search used: the predicate filter must
+    # drop only pairs the unfiltered scan finds nothing in, and keep the
+    # order.
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    found = {False: 0, True: 0}
+
+    class Obs:
+        def on_expand(self, plan, flaw, children):
+            for child in children:
+                if len(child.links) == len(plan.links):
+                    continue  # a threat repair adds no link and detects nothing
+                new_step = child.steps[-1] if len(child.steps) > len(plan.steps) else None
+                for systematic in (False, True):
+                    want = unfiltered_threats(child, new_step, child.links[-1], systematic)
+                    assert detect_new_threats(child, new_step, child.links[-1], systematic) == want
+                    found[systematic] += len(want)
+
+    plan_search(dom, prob, builtin(strategy), SearchConfig(rank=parse_rank("S+OC+UC"), node_limit=2000), Obs())
+    assert found[False] > 100 and found[True] > found[False]
 
 
 MINI2 = parse_domain(

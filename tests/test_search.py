@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plan_with, separable_threat_fixture
+from helpers import instantiate_literal, plan_with, separable_threat_fixture
 from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import FROM_START, REUSE
@@ -418,6 +418,49 @@ def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, nam
     dom, prob = case
     with rederivations_checked(dom):
         plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, dead_end_pruning=pruning))
+
+
+def _reference_step(op, sid, vids):
+    """The name-based reference for instantiate_step: a mapping from
+    each parameter to its fresh variable, applied literal by literal."""
+    mapping = {p: var(p, next(vids)) for p in op.params}
+    return Step(
+        sid,
+        op.name,
+        tuple(mapping[p] for p in op.params),
+        tuple(instantiate_literal(l, mapping) for l in op.preconds),
+        tuple(dict.fromkeys(instantiate_literal(l, mapping) for l in op.effects)),
+    )
+
+
+def _check_instantiation(dom):
+    for op in dom.operators:
+        vids, ref_vids = count(40), count(40)
+        assert instantiate_step(op, 7, vids) == _reference_step(op, 7, ref_vids)
+        assert next(vids) == next(ref_vids)  # one fresh id per parameter
+    for cands in dom.establishers.values():
+        for op, i, eff in cands:  # a new-step repair's effect index
+            fresh = {p: var(p, 40 + k) for k, p in enumerate(op.params)}
+            assert instantiate_step(op, 7, count(40)).effects[i] == instantiate_literal(eff, fresh)
+
+
+_CONSTANTS_AND_REPEATS = parse_domain(
+    "(define (domain k) (:predicates (at ?x ?y) (free ?x))"
+    " (:operator park :parameters (?c ?s) :precondition (and (at ?c HOME) (free ?s) (free LOT))"
+    " :effect (and (at ?c ?s) (not (free ?s)) (at ?c ?s) (not (at ?c HOME)) (free HOME))))"
+)
+
+
+def test_template_instantiation_equals_the_mapping_reference():
+    for name in bundled_names():
+        _check_instantiation(bundled(name)[0])
+    _check_instantiation(_CONSTANTS_AND_REPEATS)  # schema constants, a repeated effect
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_domains())
+def test_template_instantiation_equals_the_mapping_reference_on_random_domains(case):
+    _check_instantiation(case[0])
 
 
 def test_frontier_entries_carry_lists_not_plans(monkeypatch):

@@ -2,23 +2,23 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poclab.domains import SchemaLiteral
 from poclab.flaws import schema_effect_unifies
-from poclab.plan import instantiate_literal
 from poclab.terms import (
     EMPTY_STORE,
     Literal,
     Term,
+    _pair,
     args_unifiable,
     const,
     lit,
     unify,
     var,
 )
-from helpers import forced_complementary
+from helpers import forced_complementary, instantiate_literal
 
 A, B, C = const("A"), const("B"), const("C")
 x, y, z = var("?x", 0), var("?y", 1), var("?z", 2)
@@ -230,13 +230,11 @@ def _draw_args(data, elements, n):
     return tuple(data.draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n)))
 
 
-def _model_unify(store, pairs):
+def _model_classes(store, pairs):
     """The naive reference for the union kernel, built only from the
     store's public views: a partition of terms plus disequal class
     pairs, merged one pair at a time.  None when the pairs cannot all
-    codesignate; else every term's expected representative in the
-    unified store, its class's constant or else its lowest-keyed
-    member."""
+    codesignate; else (each term's class, the disequal class pairs)."""
     cls = {t: frozenset(c) for c in store.classes() for t in c}
 
     def of(t):
@@ -255,11 +253,37 @@ def _model_unify(store, pairs):
         for t in joined:
             cls[t] = joined
         apart = {frozenset(joined if c in (cx, cy) else c for c in pair) for pair in apart}
+    return cls, apart
+
+
+def _model_leader(c):
+    """A class's representative: its constant, else its lowest-keyed member."""
+    return next((m for m in c if not m.is_variable), None) or min(c, key=lambda m: m.key)
+
+
+def _model_unify(store, pairs):
+    """Every term's expected representative in the unified store, or
+    None when the pairs cannot all codesignate."""
+    model = _model_classes(store, pairs)
+    if model is None:
+        return None
+    cls = model[0]
     terms = set(cls) | {t for pair in pairs for t in pair}
-    return {
-        t: next((m for m in of(t) if not m.is_variable), None) or min(of(t), key=lambda m: m.key)
-        for t in terms
-    }
+    return {t: _model_leader(cls.get(t, frozenset((t,)))) for t in terms}
+
+
+def _model_store(store, pairs):
+    """The unified store rebuilt from the model, as its (_rep, _neq):
+    every member of a class of two or more mapped to the class's
+    representative, and each disequal class pair as a pair of
+    representatives.  None when the pairs cannot all codesignate."""
+    model = _model_classes(store, pairs)
+    if model is None:
+        return None
+    cls, apart = model
+    rep = {t: _model_leader(c) for t, c in cls.items() if len(c) > 1}
+    neq = frozenset(_pair(*map(_model_leader, pair)) for pair in apart)
+    return rep, neq
 
 
 def _check_against_model(a, b, store):
@@ -289,6 +313,27 @@ def test_args_unifiable_agrees_with_unify(data):
         for b in lits:
             assert args_unifiable(a, b, store) == (unify(a, b, store) is not None), (a, b, store)
             _check_against_model(a, b, store)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_and_unify_equal_a_rebuild_of_the_model(data):
+    # The whole store a merge or a unify returns, not only the find of
+    # the terms it touched: each entry of _rep and each disequality is
+    # compared with the model's rebuild, with disequalities present.
+    store = _draw_store(data)
+    for _ in range(data.draw(st.integers(1, 3))):
+        store = store.require_distinct(data.draw(st.sampled_from(_POOL)), data.draw(st.sampled_from(_POOL))) or store
+    assume(store.neq_pairs())
+    a, b = data.draw(st.sampled_from(_POOL)), data.draw(st.sampled_from(_POOL))
+    merged = store.merge(a, b)
+    want = _model_store(store, [(a, b)])
+    assert (merged and (merged._rep, merged._neq)) == want, (a, b, store.describe())
+    n = data.draw(st.integers(0, 4))
+    la, lb = (Literal(True, "p", _draw_args(data, _POOL, n)) for _ in range(2))
+    unified = unify(la, lb, store)
+    want = _model_store(store, list(zip(la.args, lb.args)))
+    assert (unified and (unified._rep, unified._neq)) == want, (la, lb, store.describe())
 
 
 @settings(max_examples=300, deadline=None)
