@@ -141,10 +141,11 @@ def _load_suite(path: str) -> list[tuple[Domain, Problem]]:
         domains[d.name] = d
     tasks = []
     for f in sorted(root.glob(f"*{PROBLEM_EXTENSION}")):
-        shallow = parse_problem(f.read_text(encoding="utf-8"))
-        if shallow.domain_name not in domains:
-            raise ValueError(f"{f.name}: no domain named '{shallow.domain_name}' in suite")
-        tasks.append((domains[shallow.domain_name], parse_problem(f.read_text(encoding="utf-8"), domains[shallow.domain_name])))
+        text = f.read_text(encoding="utf-8")
+        name = parse_problem(text).domain_name
+        if name not in domains:
+            raise ValueError(f"{f.name}: no domain named '{name}' in suite")
+        tasks.append((domains[name], parse_problem(text, domains[name])))
     if not tasks:
         raise ValueError(f"no *{PROBLEM_EXTENSION} files in {path}")
     return tasks

@@ -61,8 +61,6 @@ PROMOTE = "promote"
 DEMOTE = "demote"
 SEPARATE = "separate"
 
-ESTABLISH_KINDS = (FROM_START, REUSE, NEW_STEP)
-
 
 class Repair(NamedTuple):
     """One way to fix one flaw.  Only the fields for its kind are set.

@@ -172,6 +172,14 @@ def instantiate_step(op: Operator, sid: int, vids: Iterator[int]) -> Step:
     )
 
 
+def open_conditions(step: Step, reverse: bool, stamps: Iterator[int]) -> tuple[Flaw, ...]:
+    """One open condition per precondition of `step`, stamped in declared
+    order, or in reverse order when `reverse` is set: the one place the
+    order of a step's preconditions on the agenda is decided."""
+    preconds = step.preconds[::-1] if reverse else step.preconds
+    return tuple([Flaw(OPEN, step.id, pre, None, next(stamps)) for pre in preconds])
+
+
 def make_skeletal_plan(
     domain: Domain,
     problem: Problem,
@@ -180,8 +188,8 @@ def make_skeletal_plan(
 ) -> PartialPlan:
     """The two-dummy-step seed plan: start houses the initial state as
     effects, goal houses the goal literals as preconditions, and the
-    agenda lists each goal literal as an open condition (declared order,
-    or reversed when `reverse` is set)."""
+    agenda lists each goal literal as an open condition, ordered by
+    open_conditions."""
     for g in problem.goal:
         if g.pred not in domain.predicates:
             raise ValueError(f"goal mentions undeclared predicate '{g.pred}'")
@@ -192,17 +200,12 @@ def make_skeletal_plan(
             )
     start = Step(START_ID, START_NAME, (), (), tuple(dict.fromkeys(problem.init)))
     goal = Step(GOAL_ID, GOAL_NAME, (), tuple(problem.goal), ())
-    stamps = stamps or count()
-    goals = list(problem.goal)
-    if reverse:
-        goals.reverse()
-    agenda = tuple(Flaw(OPEN, GOAL_ID, g, None, next(stamps)) for g in goals)
     return PartialPlan(
         steps=(start, goal),
         links=(),
         orderings=OrderingStore.initial(),
         bindings=EMPTY_STORE,
-        agenda=agenda,
+        agenda=open_conditions(goal, reverse, stamps or count()),
     )
 
 
@@ -240,13 +243,20 @@ def linearize(plan: PartialPlan) -> list[int]:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """`assignment` maps each free variable class to the constant that
+    grounds it; `order` is the linearization the check executed."""
+
     ok: bool
     message: str | None
-    grounded_variables: int
+    assignment: dict[Term, Term]
     order: tuple[int, ...]
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @property
+    def grounded_variables(self) -> int:
+        return len(self.assignment)
 
 
 def _plan_variables(plan: PartialPlan) -> list[Term]:
@@ -262,9 +272,7 @@ def _plan_variables(plan: PartialPlan) -> list[Term]:
     return sorted(seen, key=lambda t: t.key)
 
 
-def ground_assignment(
-    plan: PartialPlan, constant_names: tuple[str, ...]
-) -> tuple[dict[Term, Term], int] | None:
+def ground_assignment(plan: PartialPlan, constant_names: tuple[str, ...]) -> dict[Term, Term] | None:
     """Map every unbound class representative to the lowest-named
     constant consistent with the noncodesignation constraints.  Greedy
     per class in deterministic order; None when some class has no
@@ -289,7 +297,16 @@ def ground_assignment(
                 break
         else:
             return None
-    return assignment, len(assignment)
+    return assignment
+
+
+def _ground_names(plan: PartialPlan, assignment: dict[Term, Term], args: tuple[Term, ...]) -> tuple[str, ...]:
+    """The constant each argument is bound to, or grounded to by `assignment`."""
+    names = []
+    for t in args:
+        r = plan.bindings.find(t)
+        names.append(r.name if not r.is_variable else assignment[r].name)
+    return tuple(names)
 
 
 def validate_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> ValidationResult:
@@ -298,22 +315,16 @@ def validate_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> Va
     step's preconditions at execution time and the goal at the end."""
     for lk in plan.links:
         if not plan.orderings.precedes(lk.producer, lk.consumer):
-            return ValidationResult(False, f"link {lk} has producer not before consumer", 0, ())
+            return ValidationResult(False, f"link {lk} has producer not before consumer", {}, ())
     if plan.agenda:
-        return ValidationResult(False, f"plan still has {len(plan.agenda)} flaws", 0, ())
+        return ValidationResult(False, f"plan still has {len(plan.agenda)} flaws", {}, ())
 
-    constants = tuple(problem.objects) + domain.constants
-    grounded = ground_assignment(plan, constants)
-    if grounded is None:
-        return ValidationResult(False, "free variables cannot be grounded consistently", 0, ())
-    assignment, n_grounded = grounded
+    assignment = ground_assignment(plan, tuple(problem.objects) + domain.constants)
+    if assignment is None:
+        return ValidationResult(False, "free variables cannot be grounded consistently", {}, ())
 
     def ground(l: Literal) -> tuple[str, tuple[str, ...]]:
-        names = []
-        for t in l.args:
-            r = plan.bindings.find(t)
-            names.append(r.name if not r.is_variable else assignment[r].name)
-        return (l.pred, tuple(names))
+        return (l.pred, _ground_names(plan, assignment, l.args))
 
     order = linearize(plan)
     state = {(l.pred, tuple(t.name for t in l.args)) for l in problem.init}
@@ -328,7 +339,7 @@ def validate_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> Va
                 return ValidationResult(
                     False,
                     f"step {sid} ({st}): precondition {pre} unsatisfied",
-                    n_grounded,
+                    assignment,
                     tuple(order),
                 )
         for eff in st.effects:
@@ -337,7 +348,7 @@ def validate_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> Va
         for eff in st.effects:
             if eff.positive:
                 state.add(ground(eff))
-    return ValidationResult(True, None, n_grounded, tuple(order))
+    return ValidationResult(True, None, assignment, tuple(order))
 
 
 def format_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> list[str]:
@@ -345,16 +356,12 @@ def format_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> list
     result = validate_solution(plan, domain, problem)
     if not result:
         raise ValueError(f"not a valid solution: {result.message}")
-    assignment, _ = ground_assignment(plan, tuple(problem.objects) + domain.constants)
     lines = []
     for sid in result.order:
         if sid in (START_ID, GOAL_ID):
             continue
         st = plan.steps[sid]
-        args = []
-        for t in st.params:
-            r = plan.bindings.find(t)
-            args.append(r.name if not r.is_variable else assignment[r].name)
+        args = _ground_names(plan, result.assignment, st.params)
         lines.append(f"{st.name}({' '.join(args)})" if args else st.name)
     return lines
 

@@ -2,16 +2,18 @@
 
 Node selection pops the minimum-rank plan (ties: most recently generated
 first).  Flaw selection is delegated to the strategy; all repairs of the
-selected flaw become children.  A node any of whose flaws has repair
-cost zero is a dead end and is pruned before expansion (switchable).
+selected flaw become children, each built in one pass by refinements(),
+which also adds the flaws a repair makes and, in cached-cost mode, costs
+them in the child.  A node any of whose flaws has repair cost zero is a
+dead end and is pruned before expansion (switchable).
 Each frontier entry carries the parent's open-condition repair lists and
 what the refinement changed; the popped child re-checks those lists
 (strategies.RepairTable) instead of enumerating the opens again, and the
 dead-end probe reads them, stopping at the first repair only for flaws
 with no inherited list.
-Limits are checked after each expansion, so a run can overshoot its node
-limit by one batch of children; %-overrun accounting clamps to the
-nominal limit.
+Both limits, nodes and time, are checked after each expansion, so a run
+can overshoot its node limit by one batch of children; %-overrun
+accounting clamps to the nominal limit.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from itertools import count
 from .domains import Domain, Problem
 from .flaws import (
     DEMOTE,
-    ESTABLISH_KINDS,
     NEW_STEP,
     PROMOTE,
-    Repair,
+    SEPARATE,
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
@@ -39,13 +40,13 @@ from .flaws import (
 )
 from .plan import (
     NONSEPARABLE,
-    OPEN,
     CausalLink,
     Flaw,
     PartialPlan,
     _plan_variables,
     instantiate_step,
     make_skeletal_plan,
+    open_conditions,
     validate_solution,
 )
 from .strategies import RepairTable, Strategy, select_flaw
@@ -181,75 +182,9 @@ class SearchContext:
         return SearchContext(max_vid + 1, max_stamp + 1)
 
 
-def _without(agenda: tuple[Flaw, ...], flaw: Flaw) -> tuple[Flaw, ...]:
-    out = tuple(f for f in agenda if f is not flaw)
-    if len(out) == len(agenda):
-        raise ValueError("selected flaw is not on the agenda")
-    return out
-
-
-def _with_cached_costs(plan: PartialPlan, n_new: int, domain: Domain) -> PartialPlan:
-    """Fill insertion-time repair costs on the newest n_new agenda flaws."""
-    if n_new == 0:
-        return plan
-    head = plan.agenda[:-n_new]
-    tail = tuple(
-        replace(f, cached_cost=len(enumerate_repairs(plan, f, domain)))
-        for f in plan.agenda[-n_new:]
-    )
-    return replace(plan, agenda=head + tail)
-
-
-def _apply_repair(
-    plan: PartialPlan,
-    flaw: Flaw,
-    rest: tuple[Flaw, ...],
-    repair: Repair,
-    domain: Domain,
-    config: SearchConfig,
-    ctx: SearchContext,
-    cached: bool,
-) -> PartialPlan:
-    """Build the child plan for one enumerated repair; `rest` is the
-    agenda without `flaw`.  Enumeration pre-validates consistency, so
-    application never fails."""
-    if repair.kind not in ESTABLISH_KINDS:  # threat repairs add no flaws
-        orderings, bindings = plan.orderings, plan.bindings
-        if repair.kind == PROMOTE:
-            orderings = orderings.with_ordering(flaw.link.consumer, flaw.step)
-        elif repair.kind == DEMOTE:
-            orderings = orderings.with_ordering(flaw.step, flaw.link.producer)
-        else:
-            bindings = bindings.require_distinct(*repair.pair)
-        return PartialPlan(plan.steps, plan.links, orderings, bindings, rest)
-
-    if repair.kind == NEW_STEP:
-        producer = len(plan.steps)
-        new_step = instantiate_step(repair.operator, producer, ctx.vids)
-        effect = new_step.effects[repair.effect_index]
-        steps = plan.steps + (new_step,)
-        orderings = plan.orderings.with_step(producer)
-        preconds = new_step.preconds[::-1] if config.reverse_preconditions else new_step.preconds
-        opens = tuple([Flaw(OPEN, producer, pre, None, next(ctx.stamps)) for pre in preconds])
-    else:
-        # effect is None only for a closed-world negative condition
-        producer, new_step, effect = repair.step, None, repair.effect
-        steps, orderings, opens = plan.steps, plan.orderings, ()
-    bindings = plan.bindings if effect is None else unify(flaw.literal, effect, plan.bindings)
-    if bindings is None:
-        raise AssertionError(f"enumerated {repair.kind} repair failed to unify")
-    link = CausalLink(producer, flaw.literal, flaw.step)
-    links = plan.links + (link,)
-    orderings = orderings.with_ordering(producer, flaw.step)
-    agenda = rest + opens
-    child = PartialPlan(steps, links, orderings, bindings, agenda)
-    threats = detect_new_threats(child, new_step, link, config.systematic)
-    if threats:
-        agenda += tuple([Flaw(kind, sid, lit, lk, next(ctx.stamps)) for kind, sid, lit, lk in threats])
-        child = PartialPlan(steps, links, orderings, bindings, agenda)
-    if cached:
-        child = _with_cached_costs(child, len(opens) + len(threats), domain)
-    return child
+def _with_cached_costs(plan: PartialPlan, flaws: tuple[Flaw, ...], domain: Domain) -> tuple[Flaw, ...]:
+    """`flaws` with their insertion-time repair costs in `plan` filled in."""
+    return tuple([replace(f, cached_cost=len(enumerate_repairs(plan, f, domain))) for f in flaws])
 
 
 def refinements(
@@ -260,13 +195,63 @@ def refinements(
     ctx: SearchContext | None = None,
     table: RepairTable | None = None,
 ) -> list[PartialPlan]:
-    """One child per repair of `flaw` (assumed refreshed) in `table`, or in a fresh one."""
+    """One child per repair of `flaw` (assumed refreshed) in `table`, or
+    in a fresh one: the only place a child plan is built.  A threat
+    repair adds one ordering or one disequality.  An establishment links
+    its producer (the start step, a reused step, or a new step whose
+    preconditions become open conditions) to the flaw's step and adds
+    the threats it makes; in cached-cost mode its new flaws are costed
+    in the child, which is built again only if it gains threats or costs."""
     config = config or SearchConfig()
     ctx = ctx or SearchContext.resuming(plan)
     table = table or RepairTable(plan, domain)
     cached = config.cost_mode == "cached"
-    rest = _without(plan.agenda, flaw)
-    return [_apply_repair(plan, flaw, rest, r, domain, config, ctx, cached) for r in table.repairs(flaw)]
+    rest = tuple([f for f in plan.agenda if f is not flaw])
+    if len(rest) == len(plan.agenda):
+        raise ValueError("selected flaw is not on the agenda")
+    children = []
+    for repair in table.repairs(flaw):
+        kind = repair.kind
+        if kind == PROMOTE:
+            orderings = plan.orderings.with_ordering(flaw.link.consumer, flaw.step)
+            children.append(PartialPlan(plan.steps, plan.links, orderings, plan.bindings, rest))
+            continue
+        if kind == DEMOTE:
+            orderings = plan.orderings.with_ordering(flaw.step, flaw.link.producer)
+            children.append(PartialPlan(plan.steps, plan.links, orderings, plan.bindings, rest))
+            continue
+        if kind == SEPARATE:
+            bindings = plan.bindings.require_distinct(*repair.pair)
+            children.append(PartialPlan(plan.steps, plan.links, plan.orderings, bindings, rest))
+            continue
+
+        if kind == NEW_STEP:
+            producer = len(plan.steps)
+            new_step = instantiate_step(repair.operator, producer, ctx.vids)
+            effect = new_step.effects[repair.effect_index]
+            steps = plan.steps + (new_step,)
+            orderings = plan.orderings.with_step(producer)
+            added = open_conditions(new_step, config.reverse_preconditions, ctx.stamps)
+        else:
+            # effect is None only for a closed-world negative condition
+            producer, new_step, effect = repair.step, None, repair.effect
+            steps, orderings, added = plan.steps, plan.orderings, ()
+        bindings = plan.bindings if effect is None else unify(flaw.literal, effect, plan.bindings)
+        if bindings is None:
+            raise AssertionError(f"enumerated {kind} repair failed to unify")
+        link = CausalLink(producer, flaw.literal, flaw.step)
+        links = plan.links + (link,)
+        orderings = orderings.with_ordering(producer, flaw.step)
+        child = PartialPlan(steps, links, orderings, bindings, rest + added)
+        threats = detect_new_threats(child, new_step, link, config.systematic)
+        if threats:
+            added += tuple([Flaw(k, sid, eff, lk, next(ctx.stamps)) for k, sid, eff, lk in threats])
+        if cached and added:
+            added = _with_cached_costs(child, added, domain)
+        if threats or (cached and added):
+            child = PartialPlan(steps, links, orderings, bindings, rest + added)
+        children.append(child)
+    return children
 
 
 def dmin_feasible(plan: PartialPlan) -> bool:
@@ -313,7 +298,7 @@ def plan_search(
     ctx = SearchContext()
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions, ctx.stamps)
     if cached:
-        root = _with_cached_costs(root, len(root.agenda), domain)
+        root = replace(root, agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
     # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
     #  parent's open lists by stamp, refinement delta)
@@ -323,7 +308,6 @@ def plan_search(
     on_expand = getattr(observer, "on_expand", None)
     if on_enqueue is not None:
         on_enqueue(root)
-    next_time_check = 64
 
     def finish(status: str, solution: PartialPlan | None) -> SearchOutcome:
         stats.wall_seconds = time.monotonic() - t0
@@ -336,10 +320,8 @@ def plan_search(
         stats.grounded_variables = result.grounded_variables
         return finish(SOLVED, node)
 
-    pops = 0
     while frontier:
         _, _, node, inherited, delta = heapq.heappop(frontier)
-        pops += 1
         node = refresh_agenda(node)
         if not node.agenda:
             return solved(node)
@@ -380,11 +362,7 @@ def plan_search(
             and frontier
         ):
             return finish(NODE_LIMIT, None)
-        if config.time_limit is not None and (
-            stats.nodes_generated >= next_time_check or (pops & 63) == 0
-        ):
-            next_time_check = stats.nodes_generated + 64
-            if time.monotonic() - t0 >= config.time_limit:
-                return finish(TIME_LIMIT, None)
+        if config.time_limit is not None and time.monotonic() - t0 >= config.time_limit:
+            return finish(TIME_LIMIT, None)
 
     return finish(EXHAUSTED, None)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import instantiate_literal, plan_with, separable_threat_fixture
+from perfbench.tracing import TARGETS
 from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import FROM_START, REUSE
@@ -175,6 +176,27 @@ def test_reverse_flag_reverses_new_step_preconditions():
 
     assert new_open_preds(normal[-1]) == ["on-table", "clear", "clear"]
     assert new_open_preds(reversed_[-1]) == ["clear", "clear", "on-table"]
+    # the goal step's preconditions are ordered the same way
+    root = make_skeletal_plan(dom, probs[0], reverse=True)
+    assert [f.literal for f in root.agenda] == list(reversed(probs[0].goal))
+    assert [f.literal for f in plan.agenda] == list(probs[0].goal)
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [("LCFR", (41, 23, 1)), ("QLCFR", (41, 23, 1)), ("DUnf-Gen", (83, 45, 5)),
+     ("LCFR-DSep", (39, 21, 3)), ("ZLIFO", (83, 46, 17))],
+)
+def test_reversed_preconditions_pin_tileworld_2_counts(name, counts):
+    """With goal and new-step preconditions reversed, tileworld-2 at
+    S+OC keeps its (generated, expanded, pruned) counts."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-2")
+    config = SearchConfig(rank=parse_rank("S+OC"), node_limit=10000, reverse_preconditions=True)
+    out = plan_search(dom, prob, builtin(name), config)
+    st = out.stats
+    assert out.solved
+    assert (st.nodes_generated, st.nodes_expanded, st.nodes_pruned) == counts
 
 
 def test_refinements_number_past_a_hand_built_plan():
@@ -298,6 +320,39 @@ def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain
     out = plan_search(dom, prob, strategy, config, observer=check)
     assert out.solved and check.expansions > 5
     assert exercised is None or calls
+
+
+def test_every_traced_search_name_is_still_called(monkeypatch):
+    """perfbench/tracing.py times the search by wrapping the names its
+    TARGETS list in this module's namespace, and splits the repair
+    enumerations by the span they are called from, so each name must
+    still be called through that namespace, from where the tracer
+    expects.  LCFR on tileworld-2 with cached costs, the dmin test and
+    systematic threats reaches every one; dmin_feasible is the rarest."""
+    names = [attr for owner, attr, _, _ in TARGETS if owner is search and attr != "plan_search"]
+    stack = ["plan_search"]
+    edges = set()  # (caller, callee) among the wrapped names
+
+    def traced(attr, fn):
+        def wrapper(*args, **kwargs):
+            edges.add((stack[-1], attr))
+            stack.append(attr)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for attr in names:
+        monkeypatch.setattr(search, attr, traced(attr, getattr(search, attr)))
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-2")
+    config = SearchConfig(node_limit=10000, cost_mode="cached", dmin_check=True, systematic=True)
+    assert plan_search(dom, prob, builtin("LCFR"), config).solved
+    called = {callee for _, callee in edges}
+    assert called == set(names), f"never called: {set(names) - called}"
+    assert {("refinements", "unify"), ("refinements", "detect_new_threats"),
+            ("refinements", "_with_cached_costs"), ("_with_cached_costs", "enumerate_repairs")} <= edges
 
 
 @contextmanager
@@ -517,6 +572,34 @@ def test_only_strategies_that_read_costs_cache_them():
         config = SearchConfig(node_limit=10000, cost_mode="cached")
         assert plan_search(dom, probs[0], builtin(name), config, observer=Obs()).solved
         assert seen == {costed}, name
+
+
+@pytest.mark.parametrize("systematic", [False, True])
+@pytest.mark.parametrize("name", ["LCFR", "ZLIFO"])
+@pytest.mark.parametrize(
+    "domain, problem", [("blocks", "sussman"), ("briefcase", "get-paid"), ("tileworld", "tileworld-2")],
+)
+def test_cached_costs_are_repair_counts_in_the_child(domain, problem, name, systematic):
+    """Under cost_mode="cached", each flaw a refinement adds (a new
+    step's open conditions and the new threats) carries its repair count
+    in the child it was added to."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    checked = 0
+
+    class Check:
+        def on_expand(self, node, flaw, children):
+            nonlocal checked
+            inherited = {id(f) for f in node.agenda}
+            for child in children:
+                for f in child.agenda:
+                    if id(f) not in inherited:
+                        assert f.cached_cost == len(flaws.enumerate_repairs(child, f, dom)), f.describe()
+                        checked += 1
+
+    config = SearchConfig(node_limit=2000, cost_mode="cached", systematic=systematic)
+    plan_search(dom, prob, builtin(name), config, observer=Check())
+    assert checked
 
 
 GOLDEN_TOGGLED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-toggled.json"
