@@ -13,7 +13,10 @@ looked for in a (step, link) pair only when some effect of the step has
 the link condition's predicate and the opposite sign (either sign under
 systematic).  Threat liveness is re-validated lazily, when the search
 refreshes a popped node's agenda, not eagerly on every constraint
-addition.
+addition, and only what the refinement changed is re-tested: a threat
+the refinement found itself is kept, and an inherited one is re-tested
+against the orderings or bindings only if the child's are not its
+parent's (refresh_agenda with the node's Expansion).
 
 The costs, the refinements and the dead-end probe share one scan per
 flaw kind: a cost is the length of the enumeration, each enumerated
@@ -29,7 +32,7 @@ search keeps a node's repair lists in one strategies.RepairTable.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from math import inf
 from typing import NamedTuple
 
 from .domains import Domain, Operator, SchemaLiteral
@@ -148,7 +151,8 @@ def _step_threatens_link(
     own = step.id == link.producer
     if step.id == link.consumer or (own and cond.positive):
         return []
-    if plan.orderings.precedes(step.id, link.producer) or plan.orderings.precedes(link.consumer, step.id):
+    succ = plan.orderings.succ  # one read for the span test: step before producer, or consumer before step
+    if (succ[step.id] >> link.producer) & 1 or (succ[link.consumer] >> step.id) & 1:
         return []
     out = []
     for eff in step.effects:  # effects are distinct by construction
@@ -199,15 +203,22 @@ def detect_new_threats(
 # refresh
 
 
-def refresh_flaw(plan: PartialPlan, flaw: Flaw) -> Flaw | None:
+def refresh_flaw(plan: PartialPlan, flaw: Flaw, span: bool = True, kinds: bool = True) -> Flaw | None:
     """None when the flaw has vanished; a reclassified copy when a
     separable threat's unification became forced; otherwise the flaw
-    itself.  Opens are live until linked."""
+    itself.  Opens are live until linked.  span=False skips a threat's
+    ordering test, kinds=False its unification: each for a threat whose
+    orderings or bindings are those it was last found live in."""
     if flaw.kind == OPEN:
         return flaw
     link = flaw.link
-    if plan.orderings.precedes(flaw.step, link.producer) or plan.orderings.precedes(link.consumer, flaw.step):
-        return None
+    s = flaw.step
+    if span:
+        succ = plan.orderings.succ
+        if (succ[s] >> link.producer) & 1 or (succ[link.consumer] >> s) & 1:
+            return None
+    if not kinds:
+        return flaw
     # systematic=True only widens the test to same-sign pairs, and a
     # same-sign flaw can only exist if that mode created it.
     kind = _threat_kind(flaw.literal, link.condition, plan.bindings, systematic=True)
@@ -215,22 +226,56 @@ def refresh_flaw(plan: PartialPlan, flaw: Flaw) -> Flaw | None:
         return None
     if kind == flaw.kind:
         return flaw
-    return replace(flaw, kind=kind)
+    return Flaw(kind, s, flaw.literal, link, flaw.inserted_at, flaw.cached_cost)
 
 
-def refresh_agenda(plan: PartialPlan) -> PartialPlan:
+class Expansion(NamedTuple):
+    """One expansion of a node, as its children need it when they are
+    popped: one record, shared by every child.  `orderings` and
+    `bindings` are the ids of the expanded node's stores, so that the
+    record keeps neither alive: a child's store is its parent's exactly
+    when the ids match, since both were alive when the record was made
+    and the child keeps its own.  `stamp` is above every insertion stamp
+    on the node's agenda, so every flaw the expansion added is stamped at
+    or above it; `open_lists` holds the node's open conditions' repair
+    lists by stamp (None when it made none)."""
+
+    orderings: int
+    bindings: int
+    stamp: int
+    open_lists: dict[int, list[Repair]] | None
+
+
+def refresh_agenda(plan: PartialPlan, since: Expansion | None = None) -> PartialPlan:
     """Plan with vanished flaws dropped and threats reclassified.
-    Returns the same object when nothing changed."""
+    Returns the same object when nothing changed.
+
+    Without `since`, every threat is re-tested.  With `since`, the
+    expansion that made `plan`, only what the refinement changed is: a
+    threat stamped at or above since.stamp was found by the refinement
+    against the plan's own orderings and bindings, and is kept as it is;
+    an older one was live, with its kind, in the expanded node, so its
+    ordering test runs only if the plan's orderings are not that node's,
+    and its unification only if the bindings are not."""
+    if since is None:
+        fresh, span, kinds = inf, True, True  # no threat is the refinement's own
+    else:
+        span = id(plan.orderings) != since.orderings
+        kinds = id(plan.bindings) != since.bindings
+        if not (span or kinds):
+            return plan
+        fresh = since.stamp
     refreshed: list[Flaw] = []
     changed = False
     for f in plan.agenda:
-        r = refresh_flaw(plan, f)
-        if r is None:
-            changed = True
-            continue
-        if r is not f:
-            changed = True
-        refreshed.append(r)
+        if f.kind != OPEN and f.inserted_at < fresh:
+            r = refresh_flaw(plan, f, span, kinds)
+            if r is not f:
+                changed = True
+                if r is None:
+                    continue
+                f = r
+        refreshed.append(f)
     if not changed:
         return plan
     return PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, tuple(refreshed))

@@ -6,6 +6,13 @@ boundaries freely.  The ordering store keeps a full reachability bitmask
 per step because precedes() dominates repair-cost computation and must
 stay O(1).  A node records no number of its own: the search numbers only
 fresh variables and flaw insertion stamps, each with an itertools.count.
+
+The records built for every child (Step, CausalLink, Flaw, PartialPlan)
+are named tuples, built positionally: building one is a single tuple
+allocation, where a frozen dataclass's __init__ makes one
+object.__setattr__ call per field.  They stay immutable values that
+compare and hash as tuples of their fields and pickle; `_replace` copies
+one with some fields changed.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .domains import Domain, Operator, Problem
 from .terms import EMPTY_STORE, BindingStore, Literal, Term, const
@@ -30,8 +38,7 @@ NONSEPARABLE = "n"
 SEPARABLE = "s"
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """An operator instance; `id` is its index in the plan's steps."""
 
     id: int
@@ -46,8 +53,7 @@ class Step:
         return f"{self.name}({' '.join(map(str, self.params))})"
 
 
-@dataclass(frozen=True, slots=True)
-class CausalLink:
+class CausalLink(NamedTuple):
     producer: int
     condition: Literal
     consumer: int
@@ -56,8 +62,7 @@ class CausalLink:
         return f"({self.producer} {self.condition} {self.consumer})"
 
 
-@dataclass(frozen=True, slots=True)
-class Flaw:
+class Flaw(NamedTuple):
     """An open condition (kind 'o') or a threat (kind 'n'/'s').
 
     Opens carry the consuming step in `step` and the needed condition in
@@ -129,8 +134,7 @@ class OrderingStore:
         return out
 
 
-@dataclass(frozen=True)
-class PartialPlan:
+class PartialPlan(NamedTuple):
     """One search node.  n_steps / n_open / n_threats, the S / OC / UC
     ranking inputs (steps excluding the two dummies, agenda opens,
     agenda threats), are computed from the parts, not maintained."""

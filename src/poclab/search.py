@@ -6,11 +6,15 @@ selected flaw become children, each built in one pass by refinements(),
 which also adds the flaws a repair makes and, in cached-cost mode, costs
 them in the child.  A node any of whose flaws has repair cost zero is a
 dead end and is pruned before expansion (switchable).
-Each frontier entry carries the parent's open-condition repair lists and
-what the refinement changed; the popped child re-checks those lists
-(strategies.RepairTable) instead of enumerating the opens again, and the
-dead-end probe reads them, stopping at the first repair only for flaws
-with no inherited list.
+A frontier entry carries a child's rank, its tie-break, the child, the
+Expansion it came from and, when the parent made repair lists, what the
+refinement changed.  The Expansion is one record shared by all the
+children of one expansion: the ids of the parent's stores, a stamp above
+every stamp on its agenda, and its open-condition repair lists.  When a
+child is popped, its agenda refresh re-tests only what the refinement
+changed, and it re-checks the inherited lists (strategies.RepairTable)
+instead of enumerating the opens again; the dead-end probe reads them,
+stopping at the first repair only for flaws with no inherited list.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
@@ -32,6 +36,7 @@ from .flaws import (
     NEW_STEP,
     PROMOTE,
     SEPARATE,
+    Expansion,
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
@@ -184,7 +189,10 @@ class SearchContext:
 
 def _with_cached_costs(plan: PartialPlan, flaws: tuple[Flaw, ...], domain: Domain) -> tuple[Flaw, ...]:
     """`flaws` with their insertion-time repair costs in `plan` filled in."""
-    return tuple([replace(f, cached_cost=len(enumerate_repairs(plan, f, domain))) for f in flaws])
+    return tuple([
+        Flaw(f.kind, f.step, f.literal, f.link, f.inserted_at, len(enumerate_repairs(plan, f, domain)))
+        for f in flaws
+    ])
 
 
 def refinements(
@@ -298,10 +306,10 @@ def plan_search(
     ctx = SearchContext()
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions, ctx.stamps)
     if cached:
-        root = replace(root, agenda=_with_cached_costs(root, root.agenda, domain))
+        root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
     # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
-    #  parent's open lists by stamp, refinement delta)
+    #  the Expansion it came from, refinement delta)
     frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None)]
     stats.max_frontier = 1
     on_enqueue = getattr(observer, "on_enqueue", None)
@@ -321,12 +329,13 @@ def plan_search(
         return finish(SOLVED, node)
 
     while frontier:
-        _, _, node, inherited, delta = heapq.heappop(frontier)
-        node = refresh_agenda(node)
+        _, _, node, since, delta = heapq.heappop(frontier)
+        node = refresh_agenda(node, since)
         if not node.agenda:
             return solved(node)
 
-        table = RepairTable(node, domain, inherited, delta)  # each flaw's list made at most once per node
+        # each flaw's list made at most once per node
+        table = RepairTable(node, domain, since and since.open_lists, delta)
         if config.dead_end_pruning and any(
             not (table.repairs(f) if f.inserted_at in table.inherited else has_any_repair(node, f, domain))
             for f in node.agenda
@@ -346,9 +355,11 @@ def plan_search(
         if on_expand is not None:
             on_expand(node, flaw, children)
         lists = table.open_lists(flaw)
+        stamp = max([f.inserted_at for f in node.agenda]) + 1
+        since = Expansion(id(node.orderings), id(node.bindings), stamp, lists)
         for child in children:
             stats.nodes_generated += 1
-            entry = (rank(child, config.rank), -stats.nodes_generated, child, lists,
+            entry = (rank(child, config.rank), -stats.nodes_generated, child, since,
                      refinement_delta(node, child) if lists else None)
             heapq.heappush(frontier, entry)
             if on_enqueue is not None:

@@ -1,6 +1,8 @@
 """Plan nodes: skeletal construction, orderings, linearization,
 validation, immutability, serialization."""
 
+import pickle
+
 import pytest
 
 import oracle
@@ -20,11 +22,14 @@ from poclab.flaws import (
 )
 from poclab.plan import (
     GOAL_ID,
+    NONSEPARABLE,
     OPEN,
     START_ID,
     CausalLink,
+    Flaw,
     OrderingStore,
     PartialPlan,
+    Step,
     linearize,
     make_skeletal_plan,
     serialize,
@@ -32,7 +37,7 @@ from poclab.plan import (
 )
 from poclab.search import SearchConfig, parse_rank, plan_search
 from poclab.strategies import builtin
-from poclab.terms import const, lit
+from poclab.terms import EMPTY_STORE, const, lit, var
 
 MINI = parse_domain(
     """
@@ -191,6 +196,81 @@ def test_serialization_golden():
         "  o (on B C) @1\n"
     )
     assert serialize(plan) == expected
+
+
+def _hand_built_plan():
+    """A node with a library step, a link, a merge, a disequality, an
+    open condition and a cached-cost threat."""
+    x, y, a, b = var("?x", 0), var("?y", 1), const("A"), const("B")
+    start = Step(START_ID, "start", (), (), (lit("on", a, b), lit("clear", a)))
+    goal = Step(GOAL_ID, "goal", (), (lit("on", b, a),), ())
+    move = Step(
+        2, "move", (x, y), (lit("clear", x), lit("on", x, y)), (lit("on", y, x), lit("on", x, y, positive=False))
+    )
+    link = CausalLink(START_ID, lit("clear", a), 2)
+    bindings = EMPTY_STORE.merge(x, a).require_distinct(y, b)
+    orderings = OrderingStore.initial().with_step(2).with_ordering(START_ID, 2)
+    agenda = (
+        Flaw(OPEN, 2, lit("on", x, y), None, 3),
+        Flaw(NONSEPARABLE, 2, lit("on", x, y, positive=False), link, 4, 1),
+    )
+    return PartialPlan((start, goal, move), (link,), orderings, bindings, agenda)
+
+
+def test_node_records_print_as_before():
+    """The text of a step, a link, a flaw and a whole node, as the
+    records printed it when they were frozen dataclasses."""
+    plan = _hand_built_plan()
+    assert str(plan.steps[2]) == "move(?x.0 ?y.1)"
+    assert str(plan.steps[START_ID]) == "start"
+    assert str(plan.links[0]) == "(0 (clear A) 2)"
+    assert [f.describe() for f in plan.agenda] == [
+        "o (on ?x.0 ?y.1) @2",
+        "n (not (on ?x.0 ?y.1)) step 2 vs link(0 (clear A) 2)",
+    ]
+    assert serialize(plan) == (
+        "steps:\n"
+        "  0 start\n"
+        "  1 goal\n"
+        "  2 move(?x.0 ?y.1)\n"
+        "links:\n"
+        "  0 -> (clear A) -> 2\n"
+        "orderings:\n"
+        "  0<1 0<2 2<1\n"
+        "bindings:\n"
+        "  classes: {A=?x.0} | neq: B!=?y.1\n"
+        "agenda:\n"
+        "  o (on ?x.0 ?y.1) @2\n"
+        "  n (not (on ?x.0 ?y.1)) step 2 vs link(0 (clear A) 2)\n"
+    )
+
+
+def test_node_records_are_immutable_values():
+    """Each record built per child rejects assignment, copies equal but
+    distinct through _replace, and changes one field through it."""
+    plan = _hand_built_plan()
+    records = [(plan.steps[2], "name"), (plan.links[0], "consumer"), (plan.agenda[1], "kind"), (plan, "agenda")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        copy = record._replace()
+        assert copy == record and copy is not record and type(copy) is type(record)
+    threat = plan.agenda[1]
+    costed = threat._replace(cached_cost=5)
+    assert costed.cached_cost == 5 and threat.cached_cost == 1
+    assert costed._replace(cached_cost=1) == threat
+
+
+def test_a_searched_plan_pickles_and_compares_equal():
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-2")
+    out = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=10000))
+    assert out.solved and out.plan.links
+    back = pickle.loads(pickle.dumps(out.plan))
+    assert back == out.plan and back is not out.plan
+    assert type(back.steps[-1]) is Step and type(back.links[0]) is CausalLink
+    assert serialize(back) == serialize(out.plan)
+    assert validate_solution(back, dom, prob)
 
 
 @pytest.mark.parametrize(

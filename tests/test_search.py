@@ -3,8 +3,8 @@
 import gc
 import heapq
 import json
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -154,7 +154,7 @@ def test_separable_threat_yields_five_children():
 def test_refinements_rejects_a_flaw_not_on_the_agenda():
     dom, probs = bundled("blocks")
     plan = make_skeletal_plan(dom, probs[0])
-    copy = replace(plan.agenda[0])  # equal to an agenda flaw, but not that flaw
+    copy = plan.agenda[0]._replace()  # equal to an agenda flaw, but not that flaw
     assert copy == plan.agenda[0] and copy is not plan.agenda[0]
     with pytest.raises(ValueError, match="not on the agenda"):
         refinements(plan, copy, dom)
@@ -516,6 +516,70 @@ def test_template_instantiation_equals_the_mapping_reference():
 @given(small_domains())
 def test_template_instantiation_equals_the_mapping_reference_on_random_domains(case):
     _check_instantiation(case[0])
+
+
+@contextmanager
+def refreshes_checked():
+    """While active, every agenda refresh the search makes with the
+    node's Expansion must equal the full re-test refresh_agenda(node):
+    the same flaws in the same order with the same kinds, and the node
+    itself back exactly when the full re-test gives it back.  Yields
+    counts of the refreshes checked and of the threats whose ordering
+    test or unification the Expansion let them skip."""
+    log = Counter()
+    refresh = search.refresh_agenda
+
+    def checked(plan, since=None):
+        got = refresh(plan, since)
+        want = refresh(plan)
+        assert [(f.kind, f.inserted_at) for f in got.agenda] == [(f.kind, f.inserted_at) for f in want.agenda]
+        assert got.agenda == want.agenda and (got is plan) == (want is plan)
+        if since is not None:
+            log["refreshes"] += 1
+            for f in plan.agenda:
+                if f.kind != OPEN and f.inserted_at < since.stamp:
+                    log["spans skipped"] += id(plan.orderings) == since.orderings
+                    log["kinds skipped"] += id(plan.bindings) == since.bindings
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refresh_agenda", checked)
+        yield log
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("rank", ["S+OC", "S+OC+UC"])
+@pytest.mark.parametrize("name", ["UCPOP", "DSep", "LCFR", "ZLIFO"])
+@pytest.mark.parametrize(
+    "domain, problem",
+    [("blocks", "sussman"), ("briefcase", "get-paid-bc-at-work"), ("tileworld", "tileworld-3")],
+)
+def test_refresh_with_the_expansion_equals_a_full_refresh(domain, problem, name, rank, systematic):
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    config = SearchConfig(rank=parse_rank(rank), node_limit=2000, systematic=systematic)
+    with refreshes_checked() as log:
+        plan_search(dom, prob, builtin(name), config)
+    assert log["refreshes"]
+
+
+def test_the_expansion_lets_the_refresh_skip_both_tests():
+    """The differential test above is not vacuous: on tileworld-3 each
+    kind of skip happens, and inherited threats reach the refresh."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    with refreshes_checked() as log:
+        plan_search(dom, prob, builtin("UCPOP"), SearchConfig(node_limit=2000, systematic=True))
+    assert log["spans skipped"] and log["kinds skipped"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_domains(), st.sampled_from(["UCPOP", "DSep", "LCFR", "ZLIFO"]), st.booleans(), st.booleans())
+def test_refresh_with_the_expansion_equals_a_full_refresh_on_random_domains(case, name, full_rank, systematic):
+    dom, prob = case
+    config = SearchConfig(rank=parse_rank("S+OC+UC" if full_rank else "S+OC"), node_limit=150, systematic=systematic)
+    with refreshes_checked():
+        plan_search(dom, prob, builtin(name), config)
 
 
 def test_frontier_entries_carry_lists_not_plans(monkeypatch):

@@ -258,9 +258,7 @@ def test_new_prefers_sole_new_step_establisher():
     assert select_flaw(zlifo, plan, MINI) is p_flaw
     # swap insertion order: still the new-step flaw, not the LIFO winner
     swapped = plan.agenda[::-1]
-    import dataclasses
-
-    plan2 = dataclasses.replace(plan, agenda=swapped)
+    plan2 = plan._replace(agenda=swapped)
     assert select_flaw(zlifo, plan2, MINI) is p_flaw
 
 
