@@ -124,6 +124,20 @@ class Domain:
                 index.setdefault((eff.pred, eff.positive), []).append((op, i, eff))
         return {k: tuple(v) for k, v in index.items()}
 
+    @cached_property
+    def always_establishable(self) -> frozenset[tuple[str, bool]]:
+        """The (pred, polarity) keys with an establisher schema that has
+        no constant and no repeated parameter.  A fresh instance of such
+        a schema unifies with every condition of its key under any
+        bindings, so a condition of one of these keys always has a
+        new-step repair.  Built on first read, like establishers."""
+        return frozenset(
+            key
+            for key, cands in self.establishers.items()
+            if any(all(a.startswith("?") for a in eff.args) and len(set(eff.args)) == len(eff.args)
+                   for _, _, eff in cands)
+        )
+
     @property
     def constants(self) -> tuple[str, ...]:
         """Constants mentioned inside operator schemas, sorted."""

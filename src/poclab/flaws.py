@@ -18,12 +18,17 @@ the refinement found itself is kept, and an inherited one is re-tested
 against the orderings or bindings only if the child's are not its
 parent's (refresh_agenda with the node's Expansion).
 
-The costs, the refinements and the dead-end probe share one scan per
-flaw kind: a cost is the length of the enumeration, each enumerated
-repair becomes a child, and the probe is the enumeration stopped at its
-first hit.  The probe of an open condition tries the library before the
-initial state, and never the plan's other steps, which are library
-instances; the full enumeration keeps the order init, reuse, new step.
+The costs and the refinements share one scan per flaw kind: a cost is
+the length of the enumeration, and each enumerated repair becomes a
+child.  The dead-end probe answers whether that scan would find
+anything, from the domain and the orderings where they settle it: an
+open condition of a key in Domain.always_establishable has a new-step
+repair under any bindings, and a threat's answer is read off the
+ordering bits and its kind.  Any other open condition (in the bundled
+domains, one that no operator establishes) is enumerated to its first
+hit, trying the library before the initial state and never the plan's
+other steps, which are library instances; the full enumeration keeps
+the order init, reuse, new step.
 An open condition is enumerated once per lineage and re-checked per
 delta: a refinement only adds constraints, so a child derives the
 condition's repairs from its parent's list (rederive_open_repairs).  The
@@ -429,22 +434,17 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     return parent if out == parent else out
 
 
-def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False) -> list[Repair]:
+def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
     """Promotion and demotion when consistent (a link's producer can be
     ordered off neither side of its own link); for separable threats
     also one separation per argument pair not already forced equal
-    (duplicate pairs collapse to one repair).  With first=True, return
-    as soon as one repair is found."""
+    (duplicate pairs collapse to one repair)."""
     link = flaw.link
     out: list[Repair] = []
     if not plan.orderings.precedes(flaw.step, link.consumer):
         out.append(_PROMOTE)
-        if first:
-            return out
     if flaw.step != link.producer and not plan.orderings.precedes(link.producer, flaw.step):
         out.append(_DEMOTE)
-        if first:
-            return out
     if flaw.kind == SEPARABLE:
         store = plan.bindings
         seen_pairs: set[frozenset[Term]] = set()
@@ -457,8 +457,6 @@ def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw, first: bool = False)
                 continue
             seen_pairs.add(key)
             out.append(Repair(SEPARATE, pair=(x, y)))
-            if first:
-                return out
     return out
 
 
@@ -473,7 +471,22 @@ def enumerate_repairs(plan: PartialPlan, flaw: Flaw, domain: Domain) -> list[Rep
 
 
 def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
-    """Dead-end probe: the enumeration's first hit; flaw is assumed refreshed."""
+    """Dead-end probe: bool(enumerate_repairs(plan, flaw, domain)) for a
+    refreshed flaw, answered from the domain and the orderings where
+    they settle it.  An open condition of a key in
+    domain.always_establishable has a new-step repair; any other is
+    enumerated to its first hit.  A separable threat has a separation
+    (its arguments do not all codesignate yet); any threat can be
+    promoted unless its step already precedes the link's consumer, and
+    demoted unless it is the producer or the producer already precedes
+    it."""
     if flaw.kind == OPEN:
-        return bool(enumerate_open_repairs(plan, flaw, domain, first=True))
-    return bool(enumerate_threat_repairs(plan, flaw, first=True))
+        cond = flaw.literal
+        return (cond.pred, cond.positive) in domain.always_establishable or bool(
+            enumerate_open_repairs(plan, flaw, domain, first=True)
+        )
+    if flaw.kind == SEPARABLE:
+        return True
+    s, link = flaw.step, flaw.link
+    succ = plan.orderings.succ
+    return not (succ[s] >> link.consumer) & 1 or (s != link.producer and not (succ[link.producer] >> s) & 1)

@@ -14,7 +14,8 @@ every stamp on its agenda, and its open-condition repair lists.  When a
 child is popped, its agenda refresh re-tests only what the refinement
 changed, and it re-checks the inherited lists (strategies.RepairTable)
 instead of enumerating the opens again; the dead-end probe reads them,
-stopping at the first repair only for flaws with no inherited list.
+and asks flaws.has_any_repair only of flaws with no inherited list,
+which answers most of those from the domain and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.

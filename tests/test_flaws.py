@@ -1,5 +1,6 @@
 """Flaw detection, classification, repair enumeration, repair costs."""
 
+import pickle
 from dataclasses import replace
 from itertools import count
 
@@ -408,6 +409,26 @@ def test_domain_establishers_index_every_distinct_effect():
         one = replace(dom, operators=dom.operators[:1])
         assert one.establishers is not index
         assert {op for cands in one.establishers.values() for op, _, _ in cands} == {dom.operators[0]}
+
+
+def test_always_establishable_keys_have_an_establisher_free_of_constants_and_repeats():
+    dom = parse_domain(
+        "(define (domain k) (:predicates (at ?x ?y) (free ?x) (b ?x ?y))"
+        " (:operator park :parameters (?c ?s) :precondition (and (free ?s))"
+        " :effect (and (at ?c ?s) (not (free ?s)) (not (at ?c HOME)) (free HOME) (b ?c ?c)))"
+        " (:operator lift :parameters (?x ?y) :precondition (and (at ?x ?y)) :effect (and (not (at ?x ?y)))))"
+    )
+    keys = dom.always_establishable
+    # (free HOME) has a constant and (b ?c ?c) a repeated parameter; (not
+    # (at ?c HOME)) has a constant too, but lift's (not (at ?x ?y)) is free
+    assert keys == {("at", True), ("free", False), ("at", False)}
+    assert keys <= set(dom.establishers)
+    assert dom.always_establishable is keys  # built once per domain
+    for name in bundled_names():
+        bundled_dom = bundled(name)[0]
+        assert bundled_dom.always_establishable == set(bundled_dom.establishers)
+    back = pickle.loads(pickle.dumps(dom))
+    assert back.always_establishable == keys and back.establishers == dom.establishers
 
 
 def test_init_repairs_read_each_plans_own_start_step():

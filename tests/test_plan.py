@@ -16,7 +16,6 @@ from poclab.flaws import (
     SEPARATE,
     enumerate_open_repairs,
     enumerate_repairs,
-    enumerate_threat_repairs,
     has_any_repair,
     refresh_agenda,
 )
@@ -300,17 +299,16 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
             # step ids are dense, which n_steps relies on
             assert [s.id for s in plan.steps] == list(range(len(plan.steps)))
             self.checked += 1
-            # the dead-end probe is the enumeration stopped at its first hit
+            # the dead-end probe answers as the enumeration does, and the
+            # open scan stopped at its first hit finds one of its repairs
             live = refresh_agenda(plan)
             for f in live.agenda:
                 full = enumerate_repairs(live, f, dom)
+                assert has_any_repair(live, f, dom) == bool(full)
                 if f.kind == OPEN:
                     first = enumerate_open_repairs(live, f, dom, first=True)
-                else:
-                    first = enumerate_threat_repairs(live, f, first=True)
-                assert has_any_repair(live, f, dom) == bool(full)
-                assert len(first) == min(len(full), 1)
-                assert all(r in full for r in first)
+                    assert len(first) == min(len(full), 1)
+                    assert all(r in full for r in first)
                 self.dead += not full
                 # steps are library instances: reuse implies a new step,
                 # which is why the probe skips the step scan

@@ -465,6 +465,39 @@ def small_domains(draw):
     return dom, prob
 
 
+@st.composite
+def threat_domains(draw):
+    """A random domain whose operators each need one or two atoms, add
+    one atom and delete another of one predicate, over the two
+    predicates they all share, and a positive goal over three objects:
+    most links a step makes are threatened by some other step, so later
+    refinements often order an inherited threat away, separate it, or
+    force it.  small_domains rarely does, as its searches mostly end
+    within a few nodes."""
+    arity = {"u": 1, "b": 2}
+
+    def atom(pred, args_from):
+        return f"({pred}" + "".join(f" {draw(st.sampled_from(args_from))}" for _ in range(arity[pred])) + ")"
+
+    ops = []
+    for i in range(draw(st.integers(2, 3))):
+        pre = " ".join(atom(draw(st.sampled_from(sorted(arity))), ("?x", "?y")) for _ in range(draw(st.integers(1, 2))))
+        pred = draw(st.sampled_from(sorted(arity)))
+        add, delete = atom(pred, ("?x", "?y")), atom(pred, ("?x", "?y"))
+        ops.append(f"(:operator o{i} :parameters (?x ?y) :precondition (and {pre}) :effect (and {add} (not {delete})))")
+    dom = parse_domain(f"(define (domain t) (:predicates (u ?a) (b ?a ?c)) {' '.join(ops)})")
+    objects = ("A", "B", "C")
+    atoms = [f"(u {o})" for o in objects] + [f"(b {o} {p})" for o in objects for p in objects]
+    init = draw(st.lists(st.sampled_from(atoms), unique=True, min_size=1, max_size=4))
+    goal = draw(st.lists(st.sampled_from(atoms), unique=True, min_size=2, max_size=3))
+    prob = parse_problem(
+        f"(define (problem t) (:domain t) (:objects {' '.join(objects)}) (:init {' '.join(init)})"
+        f" (:goal (and {' '.join(goal)})))",
+        dom,
+    )
+    return dom, prob
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_domains(), st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen"]), st.booleans())
 def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, name, pruning):
@@ -573,13 +606,119 @@ def test_the_expansion_lets_the_refresh_skip_both_tests():
     assert log["spans skipped"] and log["kinds skipped"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_domains(), st.sampled_from(["UCPOP", "DSep", "LCFR", "ZLIFO"]), st.booleans(), st.booleans())
+@settings(max_examples=160, deadline=None)
+@given(
+    st.one_of(small_domains(), threat_domains()),
+    st.sampled_from(["UCPOP", "DSep", "LCFR", "ZLIFO"]),
+    st.booleans(),
+    st.booleans(),
+)
 def test_refresh_with_the_expansion_equals_a_full_refresh_on_random_domains(case, name, full_rank, systematic):
     dom, prob = case
     config = SearchConfig(rank=parse_rank("S+OC+UC" if full_rank else "S+OC"), node_limit=150, systematic=systematic)
     with refreshes_checked():
         plan_search(dom, prob, builtin(name), config)
+
+
+@contextmanager
+def probes_checked(dom):
+    """While active, every popped node's refreshed agenda is probed flaw
+    by flaw, and each dead-end probe must answer as the full enumeration
+    does.  Yields counts of the answers by (branch, answer): "lookup"
+    for an open condition whose key is in dom.always_establishable,
+    "scan" for any other open condition, "threat" for a threat."""
+    log = Counter()
+    refresh = search.refresh_agenda
+
+    def checked(plan, since=None):
+        node = refresh(plan, since)
+        for f in node.agenda:
+            got = flaws.has_any_repair(node, f, dom)
+            assert got == bool(flaws.enumerate_repairs(node, f, dom)), f"{f.describe()}: probe says {got}"
+            if f.kind != OPEN:
+                branch = "threat"
+            elif (f.literal.pred, f.literal.positive) in dom.always_establishable:
+                branch = "lookup"
+            else:
+                branch = "scan"
+            log[branch, got] += 1
+        return node
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refresh_agenda", checked)
+        yield log
+
+
+# Keys whose only establisher has a schema constant, (free HOME) and
+# (not (at ?c HOME)), or a repeated parameter, (b ?x ?x): their opens are
+# still enumerated, and can be dead.
+_PROBE_EDGES = parse_domain(
+    "(define (domain edges) (:predicates (at ?x ?y) (free ?x) (b ?x ?y) (done))"
+    " (:operator park :parameters (?c ?s) :precondition (and (at ?c HOME) (free ?s))"
+    " :effect (and (at ?c ?s) (not (free ?s)) (not (at ?c HOME)) (free HOME)))"
+    " (:operator twin :parameters (?x ?y) :precondition (and (at ?x ?y) (free HOME))"
+    " :effect (and (b ?x ?x) (done))))"
+)
+_PROBE_EDGES_PROBLEMS = [
+    parse_problem(
+        f"(define (problem {name}) (:domain edges) (:objects A B HOME LOT) (:init {init}) (:goal (and {goal})))",
+        _PROBE_EDGES,
+    )
+    for name, init, goal in (
+        ("lot-free", "(at A HOME) (at B HOME) (free LOT)", "(b A A) (at B LOT) (not (at A HOME))"),
+        ("lot-taken", "(at A HOME) (at B HOME) (free B)", "(at B LOT) (at A B) (b A A)"),
+    )
+]
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("name", ["UCPOP", "DSep", "LCFR", "ZLIFO"])
+def test_the_probe_answers_as_the_enumeration_where_the_domain_does_not_settle_it(name, systematic):
+    assert _PROBE_EDGES.always_establishable == {("at", True), ("free", False), ("done", True)}
+    with probes_checked(_PROBE_EDGES) as log:
+        for prob in _PROBE_EDGES_PROBLEMS:
+            plan_search(_PROBE_EDGES, prob, builtin(name), SearchConfig(node_limit=80, systematic=systematic))
+    assert log["lookup", True] and log["scan", True] and log["scan", False]
+    assert not log["lookup", False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_domains(), threat_domains()), st.sampled_from(["UCPOP", "LCFR", "ZLIFO"]), st.booleans())
+def test_the_probe_answers_as_the_enumeration_on_random_domains(case, name, systematic):
+    """small_domains can draw establishers such as (b ?x ?x) and
+    (not (u A)), which the probe must still enumerate."""
+    dom, prob = case
+    with probes_checked(dom):
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=80, systematic=systematic))
+
+
+def test_the_probe_never_scans_for_a_condition_a_new_step_always_establishes(monkeypatch):
+    """UCPOP inherits no repair lists, so every open it keeps is probed
+    at every node: the probe enumerates only tileworld's conditions that
+    no operator establishes, such as hole-at."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-2")
+    probe, enumerate_open = search.has_any_repair, flaws.enumerate_open_repairs
+    probing = []  # the flaw being probed, while a probe runs
+    scanned = Counter()  # (pred, polarity) of each open the probe enumerated
+
+    def marked_probe(plan, flaw, domain):
+        probing.append(flaw)
+        try:
+            return probe(plan, flaw, domain)
+        finally:
+            probing.pop()
+
+    def counted_enumeration(plan, flaw, domain, first=False):
+        if probing:
+            scanned[flaw.literal.pred, flaw.literal.positive] += 1
+        return enumerate_open(plan, flaw, domain, first)
+
+    monkeypatch.setattr(search, "has_any_repair", marked_probe)
+    monkeypatch.setattr(flaws, "enumerate_open_repairs", counted_enumeration)
+    plan_search(dom, prob, builtin("UCPOP"), SearchConfig(rank=parse_rank("S+OC"), node_limit=2000))
+    assert scanned[("hole-at", True)]
+    assert not set(scanned) & dom.always_establishable
 
 
 def test_frontier_entries_carry_lists_not_plans(monkeypatch):
