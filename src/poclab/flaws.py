@@ -7,11 +7,13 @@ the start step's effects, scanned as every other step's are; a ground
 negative condition absent from them holds by the closed world.  Library
 establishers come from the domain's own index, Domain.establishers, so
 this module keeps no state between calls.  Threats cost at most two
-(promotion, demotion) plus, for separable threats, one separation per
-argument pair not already forced equal.  A refinement's new threats are
-looked for in a (step, link) pair only when some effect of the step has
-the link condition's predicate and the opposite sign (either sign under
-systematic).  Threat liveness is re-validated lazily, when the search
+(promotion and demotion, each read off the ordering bits) plus, for
+separable threats, one separation per pair of class representatives
+not already forced equal.  A refinement's new threats are looked for
+in one inline scan of (step, link) pairs: only an effect with the link
+condition's predicate and the opposite sign (either sign under
+systematic), of a step inside the link's span, reaches the union
+kernel.  Threat liveness is re-validated lazily, when the search
 refreshes a popped node's agenda, not eagerly on every constraint
 addition, and only what the refinement changed is re-tested: a threat
 the refinement found itself is kept, and an inherited one is re-tested
@@ -23,12 +25,13 @@ the length of the enumeration, and each enumerated repair becomes a
 child.  The dead-end probe answers whether that scan would find
 anything, from the domain and the orderings where they settle it: an
 open condition of a key in Domain.always_establishable has a new-step
-repair under any bindings, and a threat's answer is read off the
-ordering bits and its kind.  Any other open condition (in the bundled
-domains, one that no operator establishes) is enumerated to its first
-hit, trying the library before the initial state and never the plan's
-other steps, which are library instances; the full enumeration keeps
-the order init, reuse, new step.
+repair under any bindings; a separable threat always has a
+separation, and a nonseparable one has repairs if
+enumerate_threat_repairs finds promotion or demotion.  Any other open
+condition (in the bundled domains, one that no operator establishes)
+is enumerated to its first hit, trying the library before the initial
+state and never the plan's other steps, which are library instances;
+the full enumeration keeps the order init, reuse, new step.
 An open condition is enumerated once per lineage and re-checked per
 delta: a refinement only adds constraints, so a child derives the
 condition's repairs from its parent's list (rederive_open_repairs).  The
@@ -120,15 +123,18 @@ def schema_effect_unifies(cond: Literal, eff: SchemaLiteral, store: BindingStore
     if cond.pred != eff.pred or cond.positive != eff.positive or len(cond.args) != len(eff.args):
         return False
     bound: dict[str, Term] = {}
-    pairs: list[tuple[Term, Term]] = []
+    xs: list[Term] = []
+    ys: list[Term] = []
     for carg, sarg in zip(cond.args, eff.args):
         if not sarg.startswith("?"):
-            pairs.append((carg, const(sarg)))
+            xs.append(carg)
+            ys.append(const(sarg))
         elif sarg in bound:
-            pairs.append((carg, bound[sarg]))
+            xs.append(carg)
+            ys.append(bound[sarg])
         else:
             bound[sarg] = carg  # first occurrence binds freely
-    return not pairs or _union(pairs, store) is not None
+    return not xs or _union(xs, ys, store) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -141,32 +147,10 @@ def _threat_kind(effect: Literal, condition: Literal, store: BindingStore, syste
         return None
     if effect.positive == condition.positive and not systematic:
         return None
-    leader = _union(zip(effect.args, condition.args), store)
+    leader = _union(effect.args, condition.args, store)
     if leader is None:
         return None
     return SEPARABLE if leader else NONSEPARABLE
-
-
-def _step_threatens_link(
-    plan: PartialPlan, step: Step, link: CausalLink, systematic: bool
-) -> list[tuple[str, int, Literal, CausalLink]]:
-    # A step's deletes apply before its adds, so the producer undoes its
-    # own link only by adding what a negative condition denies.
-    cond = link.condition
-    own = step.id == link.producer
-    if step.id == link.consumer or (own and cond.positive):
-        return []
-    succ = plan.orderings.succ  # one read for the span test: step before producer, or consumer before step
-    if (succ[step.id] >> link.producer) & 1 or (succ[link.consumer] >> step.id) & 1:
-        return []
-    out = []
-    for eff in step.effects:  # effects are distinct by construction
-        if eff.pred != cond.pred or (own and not eff.positive):
-            continue
-        kind = _threat_kind(eff, cond, plan.bindings, systematic)
-        if kind is not None:
-            out.append((kind, step.id, eff, link))
-    return out
 
 
 def detect_new_threats(
@@ -180,27 +164,61 @@ def detect_new_threats(
 
     Order is deterministic: the new step's effects against existing
     links first (link creation order), then existing steps against the
-    new link (step id order).  A (step, link) pair is tested only when
-    some effect of the step has the link's predicate and the opposite
-    sign (under systematic, any sign): no other pair can hold a threat,
-    and most pairs fail here, before any ordering test.
+    new link (step id order).  A (step, link) pair is tested inline:
+    the link's consumer is never threatened, nor is a positive link by
+    its own producer, and a pair whose step is ordered out of the
+    link's span (before its producer or after its consumer, one read of
+    orderings.succ) holds nothing.  Within a pair, only an effect with
+    the link condition's predicate and the opposite sign (under
+    systematic, any sign) reaches _threat_kind; a producer's own
+    deletes never do, since a step's deletes apply before its adds.
+    The first pass also skips every link whose (pred, sign) no effect
+    of the new step can threaten before testing its span.
     """
     found: list[tuple[str, int, Literal, CausalLink]] = []
+    store = plan.bindings
+    succ = plan.orderings.succ
     if new_step is not None:
+        s = new_step.id
+        effects = new_step.effects
+        after = succ[s]
         # the (pred, sign) of every condition an effect can threaten
-        hit = {(e.pred, s) for e in new_step.effects for s in (True, False) if systematic or s != e.positive}
+        hit = {(e.pred, g) for e in effects for g in (True, False) if systematic or g != e.positive}
         for link in plan.links:
-            if (link.condition.pred, link.condition.positive) in hit:
-                found.extend(_step_threatens_link(plan, new_step, link, systematic))
+            cond = link.condition
+            pred, positive = cond.pred, cond.positive
+            if (pred, positive) not in hit:
+                continue
+            own = s == link.producer
+            if s == link.consumer or (own and positive):
+                continue
+            if (after >> link.producer) & 1 or (succ[link.consumer] >> s) & 1:
+                continue
+            for eff in effects:  # effects are distinct by construction
+                if eff.pred != pred or (eff.positive == positive and not systematic) or (own and not eff.positive):
+                    continue
+                kind = _threat_kind(eff, cond, store, systematic)
+                if kind is not None:
+                    found.append((kind, s, eff, link))
     if new_link is not None:
-        pred, positive = new_link.condition.pred, new_link.condition.positive
+        cond = new_link.condition
+        pred, positive = cond.pred, cond.positive
+        producer, consumer = new_link.producer, new_link.consumer
+        later = succ[consumer]
+        skip = -1 if new_step is None else new_step.id  # the new step was covered by the pass above
         for step in plan.steps:
-            if new_step is not None and step.id == new_step.id:
-                continue  # covered by the pass above
-            for e in step.effects:
-                if e.pred == pred and (systematic or e.positive != positive):
-                    found.extend(_step_threatens_link(plan, step, new_link, systematic))
-                    break
+            s = step.id
+            if s == skip or s == consumer or (later >> s) & 1 or (succ[s] >> producer) & 1:
+                continue
+            own = s == producer
+            if own and positive:
+                continue
+            for eff in step.effects:
+                if eff.pred != pred or (eff.positive == positive and not systematic) or (own and not eff.positive):
+                    continue
+                kind = _threat_kind(eff, cond, store, systematic)
+                if kind is not None:
+                    found.append((kind, s, eff, new_link))
     return found
 
 
@@ -435,28 +453,30 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
 
 
 def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
-    """Promotion and demotion when consistent (a link's producer can be
-    ordered off neither side of its own link); for separable threats
-    also one separation per argument pair not already forced equal
-    (duplicate pairs collapse to one repair)."""
+    """Promotion and demotion when consistent, read off orderings.succ:
+    promotion unless the step already precedes the link's consumer,
+    demotion unless the step is the link's producer (which can be
+    ordered off neither side of its own link) or the producer already
+    precedes it.  For separable threats also one separation per argument
+    pair not already forced equal; pairs of the same two class
+    representatives collapse to the first one's repair."""
     link = flaw.link
+    s = flaw.step
+    succ = plan.orderings.succ
     out: list[Repair] = []
-    if not plan.orderings.precedes(flaw.step, link.consumer):
+    if not (succ[s] >> link.consumer) & 1:
         out.append(_PROMOTE)
-    if flaw.step != link.producer and not plan.orderings.precedes(link.producer, flaw.step):
+    if s != link.producer and not (succ[link.producer] >> s) & 1:
         out.append(_DEMOTE)
     if flaw.kind == SEPARABLE:
-        store = plan.bindings
-        seen_pairs: set[frozenset[Term]] = set()
+        get = plan.bindings._rep.get
+        seen: list[tuple[Term, Term]] = []
         for x, y in zip(flaw.literal.args, link.condition.args):
-            rx, ry = store.find(x), store.find(y)
-            if rx == ry:
+            rx, ry = get(x, x), get(y, y)
+            if rx == ry or (rx, ry) in seen or (ry, rx) in seen:
                 continue
-            key = frozenset((rx, ry))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            out.append(Repair(SEPARATE, pair=(x, y)))
+            seen.append((rx, ry))
+            out.append(Repair(SEPARATE, -1, None, None, -1, (x, y)))
     return out
 
 
@@ -476,10 +496,8 @@ def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
     they settle it.  An open condition of a key in
     domain.always_establishable has a new-step repair; any other is
     enumerated to its first hit.  A separable threat has a separation
-    (its arguments do not all codesignate yet); any threat can be
-    promoted unless its step already precedes the link's consumer, and
-    demoted unless it is the producer or the producer already precedes
-    it."""
+    (its arguments do not all codesignate yet); a nonseparable one is
+    live when enumerate_threat_repairs finds promotion or demotion."""
     if flaw.kind == OPEN:
         cond = flaw.literal
         return (cond.pred, cond.positive) in domain.always_establishable or bool(
@@ -487,6 +505,4 @@ def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
         )
     if flaw.kind == SEPARABLE:
         return True
-    s, link = flaw.step, flaw.link
-    succ = plan.orderings.succ
-    return not (succ[s] >> link.consumer) & 1 or (s != link.producer and not (succ[link.producer] >> s) & 1)
+    return bool(enumerate_threat_repairs(plan, flaw))

@@ -3,10 +3,12 @@
 Terms are flat: variables and constants only, no function symbols, so
 unification never needs an occurs check.  Stores are immutable values;
 every constraining operation returns a fresh extended store (or None on
-inconsistency) and never touches the original.  One batch union over
-class representatives (_union) decides whether argument pairs can
-codesignate, for unify, merge, noncodesignating and the unifiability
-tests alike.
+inconsistency) and never touches the original.  One union over class
+representatives (_union) decides whether two argument tuples can
+codesignate pairwise, for unify, merge, noncodesignating, threat
+classification and the unifiability tests alike.  Most calls compare a
+single argument pair, which the kernel decides with two lookups and no
+batch bookkeeping.
 """
 
 from __future__ import annotations
@@ -125,12 +127,12 @@ class BindingStore:
 
     def noncodesignating(self, a: Term, b: Term) -> bool:
         """True when a and b can never codesignate under this store."""
-        return _union(((a, b),), self) is None
+        return _union((a,), (b,), self) is None
 
     def merge(self, a: Term, b: Term) -> BindingStore | None:
         """Codesignate a and b; None if blocked by a constant clash or a
         noncodesignation constraint."""
-        return self._joined(_union(((a, b),), self))
+        return self._joined(_union((a,), (b,), self))
 
     def _joined(self, leader: dict[Term, Term] | None) -> BindingStore | None:
         """This store with _union's answer applied: None stays None, {}
@@ -203,22 +205,41 @@ class BindingStore:
 EMPTY_STORE = BindingStore({}, frozenset())
 
 
-def _union(pairs, store: BindingStore) -> dict[Term, Term] | None:
-    """The one codesignation test: can every (x, y) in pairs codesignate
-    at once under store?
+def _union(xs, ys, store: BindingStore) -> dict[Term, Term] | None:
+    """The one codesignation test: can every x in xs codesignate with the
+    y at its position in ys, all at once, under store?
 
-    Runs a batch union over the store's class representatives.  None on
-    a constant clash or a disequal pair; otherwise a map from each
-    representative that stops leading a class to the leader of its new
-    class, which is {} when every pair already codesignates.  A group
-    is led by its constant, or else by its lowest-keyed member, the
-    representative a pair-by-pair merge would keep.  Inlined (no find,
-    no key, no _pair) because costing every open condition runs it."""
+    A union over the store's class representatives.  None on a constant
+    clash or a disequal pair; otherwise a map from each representative
+    that stops leading a class to the leader of its new class, which is
+    {} when every pair already codesignates.  A group is led by its
+    constant, or else by its lowest-keyed member, the representative a
+    pair-by-pair merge would keep.  One pair, the common case, takes two
+    representative lookups and at most one disequality lookup: the
+    leader sorts first, as every stored pair does.  Other lengths run
+    the batch loop.  Inlined (no find, no key, no _pair) because costing
+    every open condition and classifying every threat runs it."""
     rep = store._rep
     neq = store._neq
+    if len(xs) == 1:
+        x = xs[0]
+        y = ys[0]
+        lx = rep.get(x, x)
+        ly = rep.get(y, y)
+        if lx == ly:
+            return {}
+        if ly.vid < 0:
+            if lx.vid < 0:
+                return None
+            lx, ly = ly, lx
+        elif lx.vid > ly.vid or (lx.vid == ly.vid and lx.name > ly.name):
+            lx, ly = ly, lx
+        if neq and (lx, ly) in neq:
+            return None
+        return {ly: lx}
     leader: dict[Term, Term] = {}
     members: dict[Term, list[Term]] = {}
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
         rx = rep.get(x, x)
         ry = rep.get(y, y)
         lx = leader.get(rx, rx)
@@ -255,7 +276,7 @@ def unify(a: Literal, b: Literal, store: BindingStore) -> BindingStore | None:
     """
     if a.pred != b.pred or a.positive != b.positive or len(a.args) != len(b.args):
         return None
-    return store._joined(_union(zip(a.args, b.args), store))
+    return store._joined(_union(a.args, b.args, store))
 
 
 def args_unifiable(a: Literal, b: Literal, store: BindingStore) -> bool:
@@ -264,5 +285,5 @@ def args_unifiable(a: Literal, b: Literal, store: BindingStore) -> bool:
     extended store."""
     if a.pred != b.pred or a.positive != b.positive or len(a.args) != len(b.args):
         return False
-    return _union(zip(a.args, b.args), store) is not None
+    return _union(a.args, b.args, store) is not None
 

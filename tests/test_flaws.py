@@ -1,11 +1,16 @@
 """Flaw detection, classification, repair enumeration, repair costs."""
 
 import pickle
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poclab import search
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import (
     DEMOTE,
@@ -37,8 +42,16 @@ from poclab.plan import (
 )
 from poclab.search import SearchConfig, parse_rank, plan_search, refinements
 from poclab.strategies import RepairTable, builtin
-from poclab.terms import const, lit, unify, var
-from helpers import forced_complementary, plan_with, separable_threat_fixture, unfiltered_threats
+from poclab.terms import EMPTY_STORE, const, lit, unify, var
+from helpers import (
+    forced_complementary,
+    plan_with,
+    reference_threat_repairs,
+    separable_threat_fixture,
+    small_domains,
+    threat_domains,
+    unfiltered_threats,
+)
 
 A, B = const("A"), const("B")
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
@@ -70,6 +83,23 @@ def test_duplicate_argument_pairs_collapse():
     flaw = Flaw(SEPARABLE, 4, lit("Q", x, x), link, inserted_at=1)
     repairs = enumerate_threat_repairs(plan, flaw)
     assert [r.kind for r in repairs] == [PROMOTE, DEMOTE, SEPARATE]
+
+    def separations(effect, condition, bindings):
+        link = CausalLink(2, condition, 3)
+        node = plan_with(
+            steps=(Step(2, "p", (), (), (condition,)), consumer, Step(4, "th", (), (), (effect,))),
+            links=(link,), order_pairs=((2, 3),), bindings=bindings,
+        )
+        flaw = Flaw(SEPARABLE, 4, effect, link, inserted_at=1)
+        got = enumerate_threat_repairs(node, flaw)
+        assert got == reference_threat_repairs(node, flaw)
+        return [r.pair for r in got if r.kind == SEPARATE]
+
+    # the same two representatives the other way round collapse too
+    assert separations(lit("Q", x, y), lit("Q", y, x, positive=False), EMPTY_STORE) == [(x, y)]
+    # (Q ?x ?x) against (Q A ?y): two pairs until ?y is bound to A
+    assert separations(lit("Q", x, x), lit("Q", A, y, positive=False), EMPTY_STORE) == [(x, A), (x, y)]
+    assert separations(lit("Q", x, x), lit("Q", A, y, positive=False), EMPTY_STORE.merge(y, A)) == [(x, A)]
 
 
 def test_nonseparable_repair_counts():
@@ -139,6 +169,17 @@ def test_detection_separable_vs_nonseparable_vs_span():
     assert detect_new_threats(plan3, plan3.steps[4], None) == []
 
 
+def test_a_link_is_never_threatened_by_its_consumer():
+    producer = Step(2, "p", (), (), (lit("g", x),))
+    consumer = Step(3, "c", (lit("g", x),), (), (lit("g", y, positive=False),))
+    link = CausalLink(2, lit("g", x), 3)
+    plan = plan_with(steps=(producer, consumer), links=(link,), order_pairs=((2, 3),))
+    for systematic in (False, True):
+        assert unfiltered_threats(plan, plan.steps[3], link, systematic) == []
+        assert detect_new_threats(plan, plan.steps[3], None, systematic) == []
+        assert detect_new_threats(plan, None, link, systematic) == []
+
+
 def test_detection_scans_new_link_against_existing_steps():
     clobber = Step(2, "old", (), (), (lit("g", A, positive=False),))
     producer = Step(3, "p", (), (), (lit("g", A),))
@@ -162,32 +203,152 @@ def test_same_sign_threats_only_in_systematic_mode():
     assert [(k, s) for k, s, _, _ in found] == [(SEPARABLE, 4)]
 
 
+class ThreatsChecked:
+    """Search observer: every establishing child of the search is
+    re-detected with systematic off and on, whatever the search used,
+    and must give the unfiltered reference's threats in its order.
+    Counts the threats found in each mode, those of a producer against
+    its own link, and those of a 0-ary condition."""
+
+    def __init__(self):
+        self.found = Counter()
+
+    def on_expand(self, plan, flaw, children):
+        for child in children:
+            if len(child.links) == len(plan.links):
+                continue  # a threat repair adds no link and detects nothing
+            new_step = child.steps[-1] if len(child.steps) > len(plan.steps) else None
+            for systematic in (False, True):
+                want = unfiltered_threats(child, new_step, child.links[-1], systematic)
+                assert detect_new_threats(child, new_step, child.links[-1], systematic) == want
+                self.found[systematic] += len(want)
+                self.found["own"] += sum(s == link.producer for _, s, _, link in want)
+                self.found["0-ary"] += sum(not link.condition.args for _, _, _, link in want)
+
+
 @pytest.mark.parametrize(
     "domain, problem, strategy",
     [("tileworld", "tileworld-2", "UCPOP"), ("briefcase", "get-paid-bc-at-work", "DSep")],
 )
 def test_threat_detection_equals_the_unfiltered_reference(domain, problem, strategy):
-    # Every establishing child of the search, re-detected with systematic
-    # off and on whatever the search used: the predicate filter must
-    # drop only pairs the unfiltered scan finds nothing in, and keep the
-    # order.
+    # the predicate, sign and span filters must drop only pairs the
+    # unfiltered scan finds nothing in, and keep the order
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
-    found = {False: 0, True: 0}
+    obs = ThreatsChecked()
+    plan_search(dom, prob, builtin(strategy), SearchConfig(rank=parse_rank("S+OC+UC"), node_limit=2000), obs)
+    assert obs.found[False] > 100 and obs.found[True] > obs.found[False]
 
-    class Obs:
-        def on_expand(self, plan, flaw, children):
-            for child in children:
-                if len(child.links) == len(plan.links):
-                    continue  # a threat repair adds no link and detects nothing
-                new_step = child.steps[-1] if len(child.steps) > len(plan.steps) else None
-                for systematic in (False, True):
-                    want = unfiltered_threats(child, new_step, child.links[-1], systematic)
-                    assert detect_new_threats(child, new_step, child.links[-1], systematic) == want
-                    found[systematic] += len(want)
 
-    plan_search(dom, prob, builtin(strategy), SearchConfig(rank=parse_rank("S+OC+UC"), node_limit=2000), Obs())
-    assert found[False] > 100 and found[True] > found[False]
+# toggle adds and deletes one atom, so its own add threatens the negative
+# link its delete establishes (drop keeps the problem solvable); (z) is
+# 0-ary, so a threat to a (z) link reaches the union kernel with no
+# argument pair.
+_SELF_AND_NULLARY = parse_domain(
+    "(define (domain flip) (:predicates (u ?x) (b ?x ?y) (z))"
+    " (:operator toggle :parameters (?x) :precondition (and (z)) :effect (and (u ?x) (not (u ?x)) (not (z))))"
+    " (:operator rest :parameters (?x ?y) :precondition (and (u ?x)) :effect (and (z) (b ?x ?y)))"
+    " (:operator clear :parameters (?x ?y) :precondition (and (b ?x ?y) (not (u ?y)))"
+    " :effect (and (not (b ?y ?x)) (z)))"
+    " (:operator drop :parameters (?x) :precondition (and (b ?x ?x)) :effect (and (not (u ?x)))))"
+)
+_SELF_AND_NULLARY_PROBLEM = parse_problem(
+    "(define (problem flip-1) (:domain flip) (:objects A B) (:init (z) (u B))"
+    " (:goal (and (b A B) (not (u B)) (z))))",
+    _SELF_AND_NULLARY,
+)
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("name", ["UCPOP", "LCFR", "ZLIFO"])
+def test_threat_detection_equals_the_unfiltered_reference_on_self_and_0_ary_threats(name, systematic):
+    obs = ThreatsChecked()
+    config = SearchConfig(node_limit=300, systematic=systematic)
+    plan_search(_SELF_AND_NULLARY, _SELF_AND_NULLARY_PROBLEM, builtin(name), config, obs)
+    assert obs.found["own"] and obs.found["0-ary"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_domains(), threat_domains()), st.sampled_from(["UCPOP", "LCFR", "ZLIFO"]), st.booleans())
+def test_threat_detection_equals_the_unfiltered_reference_on_random_domains(case, name, systematic):
+    dom, prob = case
+    plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, systematic=systematic), ThreatsChecked())
+
+
+@contextmanager
+def threat_repairs_checked():
+    """While active, every threat on a popped node's refreshed agenda
+    must get from enumerate_threat_repairs the reference's repairs, in
+    its order.  Yields counts of the threats checked and of the
+    separable ones whose argument pairs named one pair of
+    representatives more than once, so that separations collapsed."""
+    log = Counter()
+    refresh = search.refresh_agenda
+
+    def checked(plan, since=None):
+        node = refresh(plan, since)
+        for f in node.agenda:
+            if f.kind == OPEN:
+                continue
+            want = reference_threat_repairs(node, f)
+            assert enumerate_threat_repairs(node, f) == want, f.describe()
+            log["threats"] += 1
+            if f.kind == SEPARABLE:
+                pairs = zip(f.literal.args, f.link.condition.args)
+                unforced = sum(not node.bindings.forced_equal(a, b) for a, b in pairs)
+                log["collapsed"] += sum(r.kind == SEPARATE for r in want) < unforced
+        return node
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refresh_agenda", checked)
+        yield log
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("name", ["UCPOP", "LCFR"])
+@pytest.mark.parametrize(
+    "domain, problem",
+    [("blocks", "sussman"), ("briefcase", "get-paid-bc-at-work"), ("tileworld", "tileworld-3")],
+)
+def test_threat_repairs_equal_the_reference(domain, problem, name, systematic):
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    with threat_repairs_checked() as log:
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=1000, systematic=systematic))
+    assert log["threats"]
+
+
+# wipe deletes (p ?x ?x) and leaves ?x free, so against a (p B B) link its
+# two argument pairs name the same two representatives and must give one
+# separation; swap's (not (p ?x ?y)) meets (p ?y ?x) links the other way
+# round.
+_REPEATS = parse_domain(
+    "(define (domain dup) (:predicates (p ?x ?y) (q ?x) (r ?x))"
+    " (:operator mark :parameters (?x ?y) :precondition (and (q ?x) (q ?y)) :effect (and (p ?x ?y)))"
+    " (:operator wipe :parameters (?x ?z) :precondition (and (q ?z)) :effect (and (not (p ?x ?x)) (r ?z)))"
+    " (:operator swap :parameters (?x ?y) :precondition (and (p ?y ?x)) :effect (and (not (p ?x ?y)) (r ?x))))"
+)
+_REPEATS_PROBLEM = parse_problem(
+    "(define (problem dup-1) (:domain dup) (:objects A B) (:init (q A) (q B))"
+    " (:goal (and (p B B) (r A) (p A B))))",
+    _REPEATS,
+)
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("name", ["UCPOP", "LCFR", "ZLIFO"])
+def test_threat_repairs_equal_the_reference_where_separations_collapse(name, systematic):
+    with threat_repairs_checked() as log:
+        plan_search(_REPEATS, _REPEATS_PROBLEM, builtin(name), SearchConfig(node_limit=300, systematic=systematic))
+    assert log["collapsed"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_domains(), threat_domains()), st.sampled_from(["UCPOP", "LCFR", "ZLIFO"]), st.booleans())
+def test_threat_repairs_equal_the_reference_on_random_domains(case, name, systematic):
+    dom, prob = case
+    with threat_repairs_checked():
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, systematic=systematic))
 
 
 MINI2 = parse_domain(

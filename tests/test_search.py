@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import instantiate_literal, plan_with, separable_threat_fixture
+from helpers import instantiate_literal, plan_with, separable_threat_fixture, small_domains, threat_domains
 from perfbench.tracing import TARGETS
 from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
@@ -435,67 +435,6 @@ def test_rederivation_gains_the_repairs_a_delta_adds(dom, prob, gained):
         out = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=100))
     assert out.solved
     assert any(any(gained(r) for r in got) and not any(gained(r) for r in parent) for parent, got in log)
-
-
-@st.composite
-def small_domains(draw):
-    """A random domain over 0-, 1- and 2-ary predicates, with negative
-    preconditions and effects, and a problem over two objects."""
-    arity = {"z": 0, "w": 0, "u": 1, "b": 2}
-    preds = sorted(arity)
-
-    def literal(args_from, positive):
-        pred = draw(st.sampled_from(preds))
-        args = "".join(f" {draw(st.sampled_from(args_from))}" for _ in range(arity[pred]))
-        return f"({pred}{args})" if positive(pred) else f"(not ({pred}{args}))"
-
-    ops = []
-    for i in range(draw(st.integers(1, 3))):
-        pre = " ".join(literal(("?x", "?y"), lambda p: draw(st.booleans())) for _ in range(draw(st.integers(1, 3))))
-        eff = " ".join(literal(("?x", "?y"), lambda p: draw(st.booleans())) for _ in range(draw(st.integers(1, 3))))
-        ops.append(f"(:operator o{i} :parameters (?x ?y) :precondition (and {pre}) :effect (and {eff}))")
-    decls = " ".join(f"({p}" + "".join(f" ?a{k}" for k in range(n)) + ")" for p, n in arity.items())
-    dom = parse_domain(f"(define (domain r) (:predicates {decls}) {' '.join(ops)})")
-    atoms = ["(z)", "(w)", "(u A)", "(u B)", "(b A B)", "(b B A)", "(b A A)"]
-    init = draw(st.lists(st.sampled_from(atoms), unique=True, max_size=5))
-    goal = " ".join(literal(("A", "B"), lambda p: draw(st.booleans())) for _ in range(draw(st.integers(1, 3))))
-    prob = parse_problem(
-        f"(define (problem r) (:domain r) (:objects A B) (:init {' '.join(init)}) (:goal (and {goal})))", dom
-    )
-    return dom, prob
-
-
-@st.composite
-def threat_domains(draw):
-    """A random domain whose operators each need one or two atoms, add
-    one atom and delete another of one predicate, over the two
-    predicates they all share, and a positive goal over three objects:
-    most links a step makes are threatened by some other step, so later
-    refinements often order an inherited threat away, separate it, or
-    force it.  small_domains rarely does, as its searches mostly end
-    within a few nodes."""
-    arity = {"u": 1, "b": 2}
-
-    def atom(pred, args_from):
-        return f"({pred}" + "".join(f" {draw(st.sampled_from(args_from))}" for _ in range(arity[pred])) + ")"
-
-    ops = []
-    for i in range(draw(st.integers(2, 3))):
-        pre = " ".join(atom(draw(st.sampled_from(sorted(arity))), ("?x", "?y")) for _ in range(draw(st.integers(1, 2))))
-        pred = draw(st.sampled_from(sorted(arity)))
-        add, delete = atom(pred, ("?x", "?y")), atom(pred, ("?x", "?y"))
-        ops.append(f"(:operator o{i} :parameters (?x ?y) :precondition (and {pre}) :effect (and {add} (not {delete})))")
-    dom = parse_domain(f"(define (domain t) (:predicates (u ?a) (b ?a ?c)) {' '.join(ops)})")
-    objects = ("A", "B", "C")
-    atoms = [f"(u {o})" for o in objects] + [f"(b {o} {p})" for o in objects for p in objects]
-    init = draw(st.lists(st.sampled_from(atoms), unique=True, min_size=1, max_size=4))
-    goal = draw(st.lists(st.sampled_from(atoms), unique=True, min_size=2, max_size=3))
-    prob = parse_problem(
-        f"(define (problem t) (:domain t) (:objects {' '.join(objects)}) (:init {' '.join(init)})"
-        f" (:goal (and {' '.join(goal)})))",
-        dom,
-    )
-    return dom, prob
 
 
 @settings(max_examples=60, deadline=None)

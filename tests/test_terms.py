@@ -12,6 +12,7 @@ from poclab.terms import (
     Literal,
     Term,
     _pair,
+    _union,
     args_unifiable,
     const,
     lit,
@@ -334,6 +335,31 @@ def test_merge_and_unify_equal_a_rebuild_of_the_model(data):
     unified = unify(la, lb, store)
     want = _model_store(store, list(zip(la.args, lb.args)))
     assert (unified and (unified._rep, unified._neq)) == want, (la, lb, store.describe())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_one_pair_path_equals_the_batch_loop_and_the_model(data):
+    # _union decides one pair on its own path and every other length in
+    # the batch loop; (x, x) against (y, y) is the same question asked
+    # of the loop, whose second pair is already joined.  Both must give
+    # the same verdict and the same {loser: leader} map as the model,
+    # for every ordered pair of the pool, on stores that hold constants,
+    # merged classes and disequalities.
+    store = _draw_store(data)
+    for _ in range(data.draw(st.integers(0, 3))):
+        store = store.require_distinct(data.draw(st.sampled_from(_POOL)), data.draw(st.sampled_from(_POOL))) or store
+    assert _union((), (), store) == {}
+    for a in _POOL:
+        for b in _POOL:
+            got = _union((a,), (b,), store)
+            assert got == _union((a, a), (b, b), store), (a, b, store.describe())
+            model = _model_classes(store, [(a, b)])
+            if model is None:
+                assert got is None, (a, b, store.describe())
+                continue
+            lead = _model_leader(model[0].get(a, frozenset((a,))))
+            assert got == {r: lead for r in (store.find(a), store.find(b)) if r != lead}, (a, b, store.describe())
 
 
 @settings(max_examples=300, deadline=None)
