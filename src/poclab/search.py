@@ -19,10 +19,18 @@ which answers most of those from the domain and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
+A search runs with the cyclic garbage collector paused.  Everything it
+builds (plans, stores, flaws, repair lists, frontier entries) is an
+acyclic value, so reference counting frees it, and the collector would
+only re-trace the young objects every child allocates and, on its full
+passes, the whole frontier.  The collector is restored when the search
+returns or raises, so reference cycles an observer makes during a
+search are collected only after it.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 import re
@@ -267,19 +275,21 @@ def dmin_feasible(plan: PartialPlan) -> bool:
     """Can every nonseparable threat be repaired simultaneously?  Tries
     all promote/demote assignments by backtracking; False marks the plan
     as a dead end."""
-    threats = [f for f in plan.agenda if f.kind == NONSEPARABLE]
+    return _assignable([f for f in plan.agenda if f.kind == NONSEPARABLE], 0, plan.orderings)
 
-    def assign(i: int, orderings) -> bool:
-        if i == len(threats):
+
+def _assignable(threats: list[Flaw], i: int, orderings) -> bool:
+    """Can threats[i:] each be promoted or demoted on top of `orderings`?
+    Module-level, not a closure over itself, so a call leaves no
+    reference cycle behind."""
+    if i == len(threats):
+        return True
+    f = threats[i]
+    for a, b in ((f.link.consumer, f.step), (f.step, f.link.producer)):
+        nxt = orderings.with_ordering(a, b)
+        if nxt is not None and _assignable(threats, i + 1, nxt):
             return True
-        f = threats[i]
-        for a, b in ((f.link.consumer, f.step), (f.step, f.link.producer)):
-            nxt = orderings.with_ordering(a, b)
-            if nxt is not None and assign(i + 1, nxt):
-                return True
-        return False
-
-    return assign(0, plan.orderings)
+    return False
 
 
 def plan_search(
@@ -293,9 +303,20 @@ def plan_search(
 
     Deterministic for a fixed (problem, strategy, config including
     seed): the only randomness is the strategy's R tie-breaker, driven
-    by a generator seeded from config.seed.
+    by a generator seeded from config.seed.  The cyclic garbage
+    collector is paused while the search runs (see the module
+    docstring) and left as the caller had it on any return or raise.
     """
-    config = config or SearchConfig()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(domain, problem, strategy, config or SearchConfig(), observer)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _search(domain: Domain, problem: Problem, strategy: Strategy, config: SearchConfig, observer) -> SearchOutcome:
     t0 = time.monotonic()
     stats = SearchStats(seed=config.seed)
     rng = random.Random(config.seed)

@@ -209,7 +209,9 @@ def test_merge_never_joins_disequal_classes(data):
         assert len(set(constants)) <= 1
 
 
-_POOL = [var(f"?v{i}", i) for i in range(6)] + [const("P"), const("Q"), const("R")]
+# ?w0 shares ?v0's vid under another name, so the kernel's name
+# tie-break between equal vids is reached in both of its paths.
+_POOL = [var(f"?v{i}", i) for i in range(6)] + [var("?w0", 0), const("P"), const("Q"), const("R")]
 
 
 def _draw_store(data):
