@@ -35,7 +35,12 @@ the full enumeration keeps the order init, reuse, new step.
 An open condition is enumerated once per lineage and re-checked per
 delta: a refinement only adds constraints, so a child derives the
 condition's repairs from its parent's list (rederive_open_repairs).  The
-search keeps a node's repair lists in one strategies.RepairTable.
+delta is read off the repair that made the child (refinement_delta):
+its rebound classes are none for promotion and demotion, a separation's
+two representatives, and for an establishment the leaders of the
+classes it merged a term of the parent into, with both ends of every
+disequality the merge rewrote.  The search keeps a node's repair lists
+in one strategies.RepairTable.
 """
 
 from __future__ import annotations
@@ -354,9 +359,9 @@ def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: 
     dummies excluded) for an open condition, in step id order."""
     cond = flaw.literal
     store = plan.bindings
-    precedes = plan.orderings.precedes
+    after = plan.orderings.succ[flaw.step]  # the steps ordered after the open's own
     for st in plan.steps[first_step:]:
-        if st.id == flaw.step or precedes(flaw.step, st.id):
+        if st.id == flaw.step or (after >> st.id) & 1:
             continue
         for eff in st.effects:  # effects are distinct by construction
             if eff.pred == cond.pred and eff.positive == cond.positive and args_unifiable(cond, eff, store):
@@ -364,35 +369,53 @@ def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: 
 
 
 class Delta(NamedTuple):
-    """What refining a parent plan into a child changed.  `rebound` holds
-    the child's representatives of every class whose members or
-    disequalities changed, and is None when the child's bindings are the
-    parent's own object."""
+    """What refining a parent plan into a child changed, read off the
+    repair that made the child (refinement_delta).  `rebound` holds the
+    child's representative of every class that holds a term of the
+    parent and whose members or disequalities changed: the leader of
+    each class a parent class was merged into, and both ends of every
+    disequality the refinement added or rewrote.  A class that gained
+    only a new step's fresh parameters is left out, since no term of
+    the parent changed class."""
 
     reordered: bool  # the child's orderings are not the parent's object
     step_added: bool  # the child appended a step (a refinement appends at most one)
-    rebound: tuple[Term, ...] | None
+    rebound: frozenset[Term]
 
 
 # Shared: every frontier entry holds its child's Delta, and most children
-# keep their parent's bindings.
-_UNBOUND = {(o, s): Delta(o, s, None) for o in (False, True) for s in (False, True)}
+# rebind no term of their parent.
+_UNBOUND = {(o, s): Delta(o, s, frozenset()) for o in (False, True) for s in (False, True)}
 
 
-def refinement_delta(parent: PartialPlan, child: PartialPlan) -> Delta:
-    """What refining `parent` into `child` changed, read off the two plans."""
+def refinement_delta(parent: PartialPlan, flaw: Flaw, repair: Repair, child: PartialPlan) -> Delta:
+    """What refining `parent` by `repair` of `flaw` into `child` changed,
+    read off the repair.  Promotion and demotion change only the
+    orderings.  A separation rebinds the parent representatives of its
+    pair.  An establishment rebinds the leader of each class that the
+    union behind unify merged a term of the parent into, so not a class
+    that absorbed only the new step's fresh parameters, and both ends
+    of every disequality the merge rewrote."""
     reordered = child.orderings is not parent.orderings
-    step_added = len(child.steps) > len(parent.steps)
+    step_added = repair.kind == NEW_STEP
     old, new = parent.bindings, child.bindings
     if new is old:
         return _UNBOUND[reordered, step_added]
-    rebound: set[Term] = set()
-    if new._rep is not old._rep:
+    if repair.kind == SEPARATE:
         get = old._rep.get
-        rebound.update(r for t, r in new._rep.items() if get(t, t) != r)
+        a, b = repair.pair
+        return Delta(reordered, False, frozenset((get(a, a), get(b, b))))
+    if step_added:
+        step = child.steps[-1]
+        effect, fresh = step.effects[repair.effect_index], step.params
+    else:
+        effect, fresh = repair.effect, ()
+    rebound = {lead for r, lead in _union(flaw.literal.args, effect.args, old).items() if r not in fresh}
     if new._neq is not old._neq:
         rebound.update(t for pair in new._neq - old._neq for t in pair)
-    return Delta(reordered, step_added, tuple(rebound))
+    if not rebound:
+        return _UNBOUND[reordered, step_added]
+    return Delta(reordered, step_added, frozenset(rebound))
 
 
 def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], delta: Delta) -> list[Repair]:
@@ -416,9 +439,8 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     cond = flaw.literal
     store = plan.bindings
     get = store._rep.get
-    precedes = plan.orderings.precedes
-    moved = frozenset(rebound or ())
-    touched = not moved.isdisjoint(map(get, cond.args, cond.args))
+    after = plan.orderings.succ[flaw.step]
+    touched = bool(rebound) and not rebound.isdisjoint(map(get, cond.args, cond.args))
     out: list[Repair] = []
     if (
         touched
@@ -433,11 +455,11 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
             if touched and not schema_effect_unifies(cond, eff, store):
                 continue
         elif eff is not None:  # init or reuse; the closed world holds once ground
-            if reordered and r.kind == REUSE and precedes(flaw.step, r.step):
+            if reordered and r.kind == REUSE and (after >> r.step) & 1:
                 continue
             if (
-                moved
-                and (touched or not moved.isdisjoint(map(get, eff.args, eff.args)))
+                rebound
+                and (touched or not rebound.isdisjoint(map(get, eff.args, eff.args)))
                 and not args_unifiable(cond, eff, store)
             ):
                 continue

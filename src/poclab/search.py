@@ -8,14 +8,15 @@ them in the child.  A node any of whose flaws has repair cost zero is a
 dead end and is pruned before expansion (switchable).
 A frontier entry carries a child's rank, its tie-break, the child, the
 Expansion it came from and, when the parent made repair lists, what the
-refinement changed.  The Expansion is one record shared by all the
-children of one expansion: the ids of the parent's stores, a stamp above
-every stamp on its agenda, and its open-condition repair lists.  When a
-child is popped, its agenda refresh re-tests only what the refinement
-changed, and it re-checks the inherited lists (strategies.RepairTable)
-instead of enumerating the opens again; the dead-end probe reads them,
-and asks flaws.has_any_repair only of flaws with no inherited list,
-which answers most of those from the domain and the orderings.
+refinement changed, read off the repair that made the child.  The
+Expansion is one record shared by all the children of one expansion:
+the ids of the parent's stores, a stamp above every stamp on its
+agenda, and its open-condition repair lists.  When a child is popped,
+its agenda refresh re-tests only what the refinement changed, and it
+re-checks the inherited lists (strategies.RepairTable) instead of
+enumerating the opens again; the dead-end probe reads them, and asks
+flaws.has_any_repair only of flaws with no inherited list, which
+answers most of those from the domain and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
@@ -379,10 +380,10 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         lists = table.open_lists(flaw)
         stamp = max([f.inserted_at for f in node.agenda]) + 1
         since = Expansion(id(node.orderings), id(node.bindings), stamp, lists)
-        for child in children:
+        for child, repair in zip(children, table.repairs(flaw)):
             stats.nodes_generated += 1
             entry = (rank(child, config.rank), -stats.nodes_generated, child, since,
-                     refinement_delta(node, child) if lists else None)
+                     refinement_delta(node, flaw, repair, child) if lists else None)
             heapq.heappush(frontier, entry)
             if on_enqueue is not None:
                 on_enqueue(child)

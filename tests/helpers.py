@@ -4,7 +4,7 @@ generators shared across test modules."""
 from hypothesis import strategies as st
 
 from poclab.domains import parse_domain, parse_problem
-from poclab.flaws import DEMOTE, PROMOTE, SEPARATE, Repair, _threat_kind
+from poclab.flaws import DEMOTE, PROMOTE, SEPARATE, Delta, Repair, _threat_kind
 from poclab.plan import (
     GOAL_ID,
     SEPARABLE,
@@ -92,6 +92,22 @@ def reference_threat_repairs(plan, flaw):
             seen_pairs.add(key)
             out.append(Repair(SEPARATE, pair=(a, b)))
     return out
+
+
+def store_diff_delta(parent, child):
+    """Reference for flaws.refinement_delta: the delta read off the two
+    plans, with `rebound` the child's representative of every term whose
+    class changed, found by a diff of the two binding stores, and both
+    ends of every disequality the child has and the parent has not."""
+    reordered = child.orderings is not parent.orderings
+    step_added = len(child.steps) > len(parent.steps)
+    old, new = parent.bindings, child.bindings
+    rebound = set()
+    if new is not old:
+        get = old._rep.get
+        rebound.update(r for t, r in new._rep.items() if get(t, t) != r)
+        rebound.update(t for pair in new._neq - old._neq for t in pair)
+    return Delta(reordered, step_added, frozenset(rebound))
 
 
 @st.composite

@@ -19,11 +19,14 @@ from poclab.flaws import (
     PROMOTE,
     REUSE,
     SEPARATE,
+    _UNBOUND,
     detect_new_threats,
     enumerate_open_repairs,
     enumerate_repairs,
     enumerate_threat_repairs,
     has_any_repair,
+    rederive_open_repairs,
+    refinement_delta,
     refresh_agenda,
     refresh_flaw,
 )
@@ -49,6 +52,7 @@ from helpers import (
     reference_threat_repairs,
     separable_threat_fixture,
     small_domains,
+    store_diff_delta,
     threat_domains,
     unfiltered_threats,
 )
@@ -627,3 +631,104 @@ def test_init_repairs_read_each_plans_own_start_step():
                         holds = None not in ground and lit(atom.pred, *ground) not in start
                         assert [r.effect for r in got] == ([None] if holds else [])
         assert seen > 0
+
+
+# ---------------------------------------------------------------------------
+# the refinement delta
+
+# `use` needs (p ?w), (q ?x) and (r ?y ?z).  (p ?w) has one establisher,
+# a library schema with a constant; (q ?x) only the initial (q K); and
+# (r ?y ?z) a schema with a repeated parameter.
+_DELTAS = parse_domain(
+    """
+(define (domain deltas)
+  (:predicates (p ?a) (q ?a) (r ?a ?b) (done))
+  (:operator mk :parameters () :precondition (and) :effect (and (p K)))
+  (:operator twin :parameters (?a) :precondition (and) :effect (and (r ?a ?a)))
+  (:operator use :parameters (?w ?x ?y ?z)
+    :precondition (and (p ?w) (q ?x) (r ?y ?z)) :effect (and (done))))
+"""
+)
+_DELTAS_PROBLEM = parse_problem(
+    "(define (problem d) (:domain deltas) (:objects K) (:init (q K)) (:goal (and (done))))", _DELTAS
+)
+K = const("K")
+
+
+def _use_step_plan(distinct=False):
+    """The plan that establishes (done) by a new `use` step, its open
+    conditions by predicate, and the step's parameters; with `distinct`,
+    ?w and ?x are kept apart."""
+    root = make_skeletal_plan(_DELTAS, _DELTAS_PROBLEM)
+    plan = refinements(root, root.agenda[0], _DELTAS)[0]
+    params = plan.steps[2].params
+    if distinct:
+        plan = plan._replace(bindings=plan.bindings.require_distinct(params[0], params[1]))
+    return plan, {f.literal.pred: f for f in plan.agenda}, params
+
+
+def _deltas(plan, flaw, dom):
+    """(repair, child, delta) for each repair of `flaw`."""
+    children = refinements(plan, flaw, dom)
+    return [
+        (r, c, refinement_delta(plan, flaw, r, c))
+        for r, c in zip(enumerate_repairs(plan, flaw, dom), children, strict=True)
+    ]
+
+
+def test_threat_repair_deltas():
+    """Promotion and demotion rebind nothing and share one record; a
+    separation rebinds the parent representatives of its pair."""
+    plan, flaw = separable_threat_fixture()
+    plan = plan._replace(bindings=plan.bindings.merge(y, x), agenda=(flaw,))  # ?y's class is led by ?x
+    got = [(r.kind, d) for r, _, d in _deltas(plan, flaw, MINI2)]
+    assert got == [
+        (PROMOTE, _UNBOUND[True, False]),
+        (DEMOTE, _UNBOUND[True, False]),
+        (SEPARATE, (False, False, {x, t})),
+        (SEPARATE, (False, False, {x, u})),
+        (SEPARATE, (False, False, {z, v})),
+    ]
+    assert got[0][1] is got[1][1] is _UNBOUND[True, False]
+
+
+def test_reuse_rebinds_the_union_leaders_and_a_fresh_step_nothing():
+    """Reusing (on ?t ?u) for (on ?x ?y) merges two classes of the
+    parent into ?x's and ?y's.  A new stack step binds only its fresh
+    parameters, so its delta is the shared unbound record, although the
+    store diff sees ?x's and ?y's classes grow."""
+    producer = Step(2, "stack", (), (), (lit("on", t, u),))
+    consumer = Step(3, "needs", (), (lit("on", x, y),), ())
+    flaw = Flaw(OPEN, 3, lit("on", x, y), None, inserted_at=0)
+    plan = plan_with(steps=(producer, consumer), agenda=(flaw,))
+    (reuse, _, reused), (new, child, fresh) = _deltas(plan, flaw, MINI2)
+    assert (reuse.kind, reused) == (REUSE, (True, False, {x, y}))
+    assert new.kind == NEW_STEP and fresh is _UNBOUND[True, True]
+    assert store_diff_delta(plan, child).rebound == {x, y}
+
+
+def test_establishment_deltas_rebind_each_merged_class_of_the_parent():
+    """The initial (q K) and the schema constant of mk's (p K) each bind
+    a parameter of `use` to K; twin's repeated parameter merges ?y's
+    class with ?z's, and the merged class is led by ?y."""
+    plan, opens, (w, xx, yy, zz) = _use_step_plan()
+    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["q"], _DELTAS)] == [(FROM_START, (False, False, {K}))]
+    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["p"], _DELTAS)] == [(NEW_STEP, (True, True, {K}))]
+    assert yy.vid < zz.vid
+    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["r"], _DELTAS)] == [(NEW_STEP, (True, True, {yy}))]
+
+
+def test_a_rewritten_disequality_rebinds_both_its_ends():
+    """With ?w kept apart from ?x, establishing (q ?x) from the initial
+    (q K) rewrites the disequality to ?w != K, so mk's (p K) no longer
+    establishes (p ?w).  The delta rebinds ?w as well as K; a delta of
+    the union's leaders alone would leave the stale repair in the list."""
+    plan, opens, (w, _, _, _) = _use_step_plan(distinct=True)
+    inherited = enumerate_open_repairs(plan, opens["p"], _DELTAS)
+    assert [r.describe() for r in inherited] == ["new mk[0]"]
+    [(repair, child, delta)] = _deltas(plan, opens["q"], _DELTAS)
+    assert repair.kind == FROM_START and delta.rebound == {K, w}
+    assert rederive_open_repairs(child, opens["p"], inherited, delta) == []
+    assert enumerate_repairs(child, opens["p"], _DELTAS) == []
+    leaders = delta._replace(rebound=frozenset({K}))
+    assert rederive_open_repairs(child, opens["p"], inherited, leaders) == inherited

@@ -15,7 +15,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import instantiate_literal, plan_with, separable_threat_fixture, small_domains, threat_domains
+from helpers import (
+    instantiate_literal,
+    plan_with,
+    separable_threat_fixture,
+    small_domains,
+    store_diff_delta,
+    threat_domains,
+)
 from perfbench.tracing import TARGETS
 from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
@@ -380,17 +387,67 @@ def rederivations_checked(dom):
         yield log
 
 
-@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
-@pytest.mark.parametrize(
+class DeltasChecked:
+    """Observer: every child's refinement_delta, read off its repair,
+    agrees with the store diff (helpers.store_diff_delta) on the
+    orderings and the step, and rebinds a subset of the diff's
+    representatives.  A representative only the diff has leads a class
+    that gained only the new step's fresh parameters: no term of the
+    parent changed class.  Counts the children whose delta is narrower
+    than the diff."""
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.narrower = 0
+
+    def on_expand(self, node, flaw, children):
+        repairs = flaws.enumerate_repairs(node, flaw, self.dom)
+        for repair, child in zip(repairs, children, strict=True):
+            got = flaws.refinement_delta(node, flaw, repair, child)
+            want = store_diff_delta(node, child)
+            assert got[:2] == want[:2] and got.rebound <= want.rebound, (
+                f"{repair.describe()} of {flaw.describe()}: delta {got}, store diff {want}"
+            )
+            extra = want.rebound - got.rebound
+            if extra:
+                fresh = set(child.steps[-1].params) if got.step_added else set()
+                moved = {m for m, r in child.bindings._rep.items() if r in extra and node.bindings.find(m) != r}
+                assert moved <= fresh, f"{repair.describe()} of {flaw.describe()}: {moved - fresh} changed class"
+                self.narrower += 1
+
+
+_REDERIVATION_CELLS = pytest.mark.parametrize(
     "domain, problem", [("blocks", "sussman"), ("blocks", "invert4"), ("briefcase", "get-paid"),
                         ("tileworld", "tileworld-2")],
 )
+
+
+@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
+@_REDERIVATION_CELLS
 def test_rederived_repairs_equal_a_fresh_enumeration(name, domain, problem):
+    """Every child's delta is checked against the store diff, too."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
+    check = DeltasChecked(dom)
     with rederivations_checked(dom) as log:
-        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=1000))
-    assert log
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=1000), observer=check)
+    assert log and check.narrower
+
+
+@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
+@_REDERIVATION_CELLS
+def test_rederived_repairs_equal_a_fresh_enumeration_under_sweep_toggled_toggles(name, domain, problem):
+    """Cached costs, the dmin test and systematic threats.  With cached
+    costs a node makes an open condition's list only to break a New tie
+    (ZLIFO) or to refine it, so few lists are re-derived; every child's
+    delta is still checked."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    check = DeltasChecked(dom)
+    config = SearchConfig(node_limit=1000, cost_mode="cached", dmin_check=True, systematic=True)
+    with rederivations_checked(dom):
+        plan_search(dom, prob, builtin(name), config, observer=check)
+    assert check.narrower
 
 
 # A new step that establishes a 0-ary condition leaves the bindings as
@@ -447,6 +504,16 @@ def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, nam
     dom, prob = case
     with rederivations_checked(dom):
         plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, dead_end_pruning=pruning))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_domains(), threat_domains()), st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen"]), st.booleans())
+def test_deltas_rebind_no_more_than_the_store_diff_on_random_domains(case, name, systematic):
+    """Under systematic threats, same-sign threats are separated too."""
+    dom, prob = case
+    with rederivations_checked(dom):
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, systematic=systematic),
+                    observer=DeltasChecked(dom))
 
 
 def _reference_step(op, sid, vids):
