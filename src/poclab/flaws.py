@@ -17,8 +17,9 @@ kernel.  Threat liveness is re-validated lazily, when the search
 refreshes a popped node's agenda, not eagerly on every constraint
 addition, and only what the refinement changed is re-tested: a threat
 the refinement found itself is kept, and an inherited one is re-tested
-against the orderings or bindings only if the child's are not its
-parent's (refresh_agenda with the node's Expansion).
+against the orderings only if the refinement reordered, and against
+the bindings only if it rebound a class of the parent's terms
+(refresh_agenda with the node's Expansion and Delta).
 
 The costs and the refinements share one scan per flaw kind: a cost is
 the length of the enumeration, and each enumerated repair becomes a
@@ -34,13 +35,10 @@ state and never the plan's other steps, which are library instances;
 the full enumeration keeps the order init, reuse, new step.
 An open condition is enumerated once per lineage and re-checked per
 delta: a refinement only adds constraints, so a child derives the
-condition's repairs from its parent's list (rederive_open_repairs).  The
-delta is read off the repair that made the child (refinement_delta):
-its rebound classes are none for promotion and demotion, a separation's
-two representatives, and for an establishment the leaders of the
-classes it merged a term of the parent into, with both ends of every
-disequality the merge rewrote.  The search keeps a node's repair lists
-in one strategies.RepairTable.
+condition's repairs from its parent's list (rederive_open_repairs).
+The Delta is made by the child builder (search.refinements) as it
+builds the child, from what it has just done.  The search keeps a
+node's repair lists in one strategies.RepairTable.
 """
 
 from __future__ import annotations
@@ -235,8 +233,10 @@ def refresh_flaw(plan: PartialPlan, flaw: Flaw, span: bool = True, kinds: bool =
     """None when the flaw has vanished; a reclassified copy when a
     separable threat's unification became forced; otherwise the flaw
     itself.  Opens are live until linked.  span=False skips a threat's
-    ordering test, kinds=False its unification: each for a threat whose
-    orderings or bindings are those it was last found live in."""
+    ordering test, for a threat whose orderings are those it was last
+    found live in; kinds=False skips its unification, for a threat
+    found live in a plan none of whose terms has since changed class
+    or gained a disequality."""
     if flaw.kind == OPEN:
         return flaw
     link = flaw.link
@@ -259,37 +259,32 @@ def refresh_flaw(plan: PartialPlan, flaw: Flaw, span: bool = True, kinds: bool =
 
 class Expansion(NamedTuple):
     """One expansion of a node, as its children need it when they are
-    popped: one record, shared by every child.  `orderings` and
-    `bindings` are the ids of the expanded node's stores, so that the
-    record keeps neither alive: a child's store is its parent's exactly
-    when the ids match, since both were alive when the record was made
-    and the child keeps its own.  `stamp` is above every insertion stamp
-    on the node's agenda, so every flaw the expansion added is stamped at
-    or above it; `open_lists` holds the node's open conditions' repair
-    lists by stamp (None when it made none)."""
+    popped: one record, shared by every child.  `stamp` is above every
+    insertion stamp on the node's agenda, so every flaw the expansion
+    added is stamped at or above it; `open_lists` holds the node's open
+    conditions' repair lists by stamp (None when it made none)."""
 
-    orderings: int
-    bindings: int
     stamp: int
     open_lists: dict[int, list[Repair]] | None
 
 
-def refresh_agenda(plan: PartialPlan, since: Expansion | None = None) -> PartialPlan:
+def refresh_agenda(plan: PartialPlan, since: Expansion | None = None, delta: Delta | None = None) -> PartialPlan:
     """Plan with vanished flaws dropped and threats reclassified.
     Returns the same object when nothing changed.
 
     Without `since`, every threat is re-tested.  With `since`, the
-    expansion that made `plan`, only what the refinement changed is: a
-    threat stamped at or above since.stamp was found by the refinement
-    against the plan's own orderings and bindings, and is kept as it is;
-    an older one was live, with its kind, in the expanded node, so its
-    ordering test runs only if the plan's orderings are not that node's,
-    and its unification only if the bindings are not."""
+    expansion that made `plan`, and `delta`, what that refinement
+    changed, only what changed is: a threat stamped at or above
+    since.stamp was found by the refinement against the plan's own
+    orderings and bindings, and is kept as it is; an older one was
+    live, with its kind, in the expanded node, so its ordering test runs
+    only if delta.reordered, and its unification only if delta.rebound
+    names a class."""
     if since is None:
         fresh, span, kinds = inf, True, True  # no threat is the refinement's own
     else:
-        span = id(plan.orderings) != since.orderings
-        kinds = id(plan.bindings) != since.bindings
+        span, _, rebound = delta
+        kinds = bool(rebound)
         if not (span or kinds):
             return plan
         fresh = since.stamp
@@ -369,14 +364,12 @@ def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: 
 
 
 class Delta(NamedTuple):
-    """What refining a parent plan into a child changed, read off the
-    repair that made the child (refinement_delta).  `rebound` holds the
+    """What refining a parent plan into a child changed, made by
+    search.refinements as it builds the child.  `rebound` holds the
     child's representative of every class that holds a term of the
-    parent and whose members or disequalities changed: the leader of
-    each class a parent class was merged into, and both ends of every
-    disequality the refinement added or rewrote.  A class that gained
-    only a new step's fresh parameters is left out, since no term of
-    the parent changed class."""
+    parent and whose members or disequalities changed.  A class that
+    gained only a new step's fresh parameters is left out, since no term
+    of the parent changed class."""
 
     reordered: bool  # the child's orderings are not the parent's object
     step_added: bool  # the child appended a step (a refinement appends at most one)
@@ -388,40 +381,10 @@ class Delta(NamedTuple):
 _UNBOUND = {(o, s): Delta(o, s, frozenset()) for o in (False, True) for s in (False, True)}
 
 
-def refinement_delta(parent: PartialPlan, flaw: Flaw, repair: Repair, child: PartialPlan) -> Delta:
-    """What refining `parent` by `repair` of `flaw` into `child` changed,
-    read off the repair.  Promotion and demotion change only the
-    orderings.  A separation rebinds the parent representatives of its
-    pair.  An establishment rebinds the leader of each class that the
-    union behind unify merged a term of the parent into, so not a class
-    that absorbed only the new step's fresh parameters, and both ends
-    of every disequality the merge rewrote."""
-    reordered = child.orderings is not parent.orderings
-    step_added = repair.kind == NEW_STEP
-    old, new = parent.bindings, child.bindings
-    if new is old:
-        return _UNBOUND[reordered, step_added]
-    if repair.kind == SEPARATE:
-        get = old._rep.get
-        a, b = repair.pair
-        return Delta(reordered, False, frozenset((get(a, a), get(b, b))))
-    if step_added:
-        step = child.steps[-1]
-        effect, fresh = step.effects[repair.effect_index], step.params
-    else:
-        effect, fresh = repair.effect, ()
-    rebound = {lead for r, lead in _union(flaw.literal.args, effect.args, old).items() if r not in fresh}
-    if new._neq is not old._neq:
-        rebound.update(t for pair in new._neq - old._neq for t in pair)
-    if not rebound:
-        return _UNBOUND[reordered, step_added]
-    return Delta(reordered, step_added, frozenset(rebound))
-
-
 def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], delta: Delta) -> list[Repair]:
     """enumerate_open_repairs(plan, flaw, domain), derived from the
     open condition's repairs `parent` in the plan this one was refined
-    from, given the refinement_delta between them.
+    from, given the Delta between them.
 
     A refinement only adds constraints: bindings merge classes or keep
     classes apart, orderings grow, steps are appended.  So a repair

@@ -7,16 +7,17 @@ which also adds the flaws a repair makes and, in cached-cost mode, costs
 them in the child.  A node any of whose flaws has repair cost zero is a
 dead end and is pruned before expansion (switchable).
 A frontier entry carries a child's rank, its tie-break, the child, the
-Expansion it came from and, when the parent made repair lists, what the
-refinement changed, read off the repair that made the child.  The
-Expansion is one record shared by all the children of one expansion:
-the ids of the parent's stores, a stamp above every stamp on its
-agenda, and its open-condition repair lists.  When a child is popped,
-its agenda refresh re-tests only what the refinement changed, and it
-re-checks the inherited lists (strategies.RepairTable) instead of
-enumerating the opens again; the dead-end probe reads them, and asks
-flaws.has_any_repair only of flaws with no inherited list, which
-answers most of those from the domain and the orderings.
+Expansion it came from and the Delta that refinements() made with the
+child: whether the refinement reordered, whether it added a step, and
+which classes of the parent's terms it rebound.  The Expansion is one
+record shared by all the children of one expansion: a stamp above every
+stamp on the parent's agenda, and its open-condition repair lists.  When
+a child is popped, its agenda refresh re-tests only what the Delta says
+changed, and it re-checks the inherited lists (strategies.RepairTable)
+against the same Delta instead of enumerating the opens again; the
+dead-end probe reads them, and asks flaws.has_any_repair only of flaws
+with no inherited list, which answers most of those from the domain
+and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
@@ -46,11 +47,12 @@ from .flaws import (
     NEW_STEP,
     PROMOTE,
     SEPARATE,
+    _UNBOUND,
+    Delta,
     Expansion,
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
-    refinement_delta,
     refresh_agenda,
 )
 from .plan import (
@@ -205,6 +207,11 @@ def _with_cached_costs(plan: PartialPlan, flaws: tuple[Flaw, ...], domain: Domai
     ])
 
 
+# Builds a Delta without the named tuple's Python-level __new__: every
+# child that rebinds a term of its parent makes one.
+_new_delta = tuple.__new__
+
+
 def refinements(
     plan: PartialPlan,
     flaw: Flaw,
@@ -212,14 +219,20 @@ def refinements(
     config: SearchConfig | None = None,
     ctx: SearchContext | None = None,
     table: RepairTable | None = None,
-) -> list[PartialPlan]:
-    """One child per repair of `flaw` (assumed refreshed) in `table`, or
-    in a fresh one: the only place a child plan is built.  A threat
-    repair adds one ordering or one disequality.  An establishment links
-    its producer (the start step, a reused step, or a new step whose
-    preconditions become open conditions) to the flaw's step and adds
-    the threats it makes; in cached-cost mode its new flaws are costed
-    in the child, which is built again only if it gains threats or costs."""
+) -> list[tuple[PartialPlan, Delta]]:
+    """One (child, Delta) pair per repair of `flaw` (assumed refreshed) in
+    `table`, or in a fresh one: the only place a child plan is built.  A
+    threat repair adds one ordering or one disequality; its Delta only
+    reorders, or rebinds the parent representatives of the separated
+    pair.  An establishment links its producer (the start step, a reused
+    step, or a new step whose preconditions become open conditions) to
+    the flaw's step and adds the threats it makes; in cached-cost mode
+    its new flaws are costed in the child, which is built again only if
+    it gains threats or costs.  Its Delta rebinds the child's
+    representative of each term of the linked condition, and of an init
+    or reuse effect, whose representative changed (a new step's effect
+    holds no term of the parent but constants, which lead their
+    classes), and both ends of every disequality the parent lacks."""
     config = config or SearchConfig()
     ctx = ctx or SearchContext.resuming(plan)
     table = table or RepairTable(plan, domain)
@@ -227,20 +240,24 @@ def refinements(
     rest = tuple([f for f in plan.agenda if f is not flaw])
     if len(rest) == len(plan.agenda):
         raise ValueError("selected flaw is not on the agenda")
+    old = plan.bindings
     children = []
     for repair in table.repairs(flaw):
         kind = repair.kind
         if kind == PROMOTE:
             orderings = plan.orderings.with_ordering(flaw.link.consumer, flaw.step)
-            children.append(PartialPlan(plan.steps, plan.links, orderings, plan.bindings, rest))
+            children.append((PartialPlan(plan.steps, plan.links, orderings, old, rest), _UNBOUND[True, False]))
             continue
         if kind == DEMOTE:
             orderings = plan.orderings.with_ordering(flaw.step, flaw.link.producer)
-            children.append(PartialPlan(plan.steps, plan.links, orderings, plan.bindings, rest))
+            children.append((PartialPlan(plan.steps, plan.links, orderings, old, rest), _UNBOUND[True, False]))
             continue
         if kind == SEPARATE:
-            bindings = plan.bindings.require_distinct(*repair.pair)
-            children.append(PartialPlan(plan.steps, plan.links, plan.orderings, bindings, rest))
+            a, b = repair.pair
+            rep = old._rep.get
+            bindings = old.require_distinct(a, b)
+            delta = _new_delta(Delta, (False, False, frozenset((rep(a, a), rep(b, b)))))
+            children.append((PartialPlan(plan.steps, plan.links, plan.orderings, bindings, rest), delta))
             continue
 
         if kind == NEW_STEP:
@@ -254,7 +271,7 @@ def refinements(
             # effect is None only for a closed-world negative condition
             producer, new_step, effect = repair.step, None, repair.effect
             steps, orderings, added = plan.steps, plan.orderings, ()
-        bindings = plan.bindings if effect is None else unify(flaw.literal, effect, plan.bindings)
+        bindings = old if effect is None else unify(flaw.literal, effect, old)
         if bindings is None:
             raise AssertionError(f"enumerated {kind} repair failed to unify")
         link = CausalLink(producer, flaw.literal, flaw.step)
@@ -268,7 +285,19 @@ def refinements(
             added = _with_cached_costs(child, added, domain)
         if threats or (cached and added):
             child = PartialPlan(steps, links, orderings, bindings, rest + added)
-        children.append(child)
+        delta = _UNBOUND[orderings is not plan.orderings, new_step is not None]
+        if bindings is not old:
+            was, now = old._rep.get, bindings._rep.get
+            rebound = []
+            for t in flaw.literal.args if new_step else flaw.literal.args + effect.args:
+                r = now(t, t)
+                if r != was(t, t):
+                    rebound.append(r)
+            if bindings._neq is not old._neq:
+                rebound += [t for pair in bindings._neq - old._neq for t in pair]
+            if rebound:
+                delta = _new_delta(Delta, (delta.reordered, delta.step_added, frozenset(rebound)))
+        children.append((child, delta))
     return children
 
 
@@ -332,8 +361,9 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
     # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
-    #  the Expansion it came from, refinement delta)
-    frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None)]
+    #  the Expansion it came from, the Delta from its parent).  Every flaw
+    # on the root's agenda is its own, found against its own stores.
+    frontier: list[tuple] = [(rank(root, config.rank), 0, root, Expansion(0, None), _UNBOUND[False, False])]
     stats.max_frontier = 1
     on_enqueue = getattr(observer, "on_enqueue", None)
     on_expand = getattr(observer, "on_expand", None)
@@ -353,12 +383,12 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
 
     while frontier:
         _, _, node, since, delta = heapq.heappop(frontier)
-        node = refresh_agenda(node, since)
+        node = refresh_agenda(node, since, delta)
         if not node.agenda:
             return solved(node)
 
         # each flaw's list made at most once per node
-        table = RepairTable(node, domain, since and since.open_lists, delta)
+        table = RepairTable(node, domain, since.open_lists, delta)
         if config.dead_end_pruning and any(
             not (table.repairs(f) if f.inserted_at in table.inherited else has_any_repair(node, f, domain))
             for f in node.agenda
@@ -376,15 +406,11 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         stats.nodes_expanded += 1
         children = refinements(node, flaw, domain, config, ctx, table)
         if on_expand is not None:
-            on_expand(node, flaw, children)
-        lists = table.open_lists(flaw)
-        stamp = max([f.inserted_at for f in node.agenda]) + 1
-        since = Expansion(id(node.orderings), id(node.bindings), stamp, lists)
-        for child, repair in zip(children, table.repairs(flaw)):
+            on_expand(node, flaw, [child for child, _ in children])
+        since = Expansion(max([f.inserted_at for f in node.agenda]) + 1, table.open_lists(flaw))
+        for child, delta in children:
             stats.nodes_generated += 1
-            entry = (rank(child, config.rank), -stats.nodes_generated, child, since,
-                     refinement_delta(node, flaw, repair, child) if lists else None)
-            heapq.heappush(frontier, entry)
+            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, since, delta))
             if on_enqueue is not None:
                 on_enqueue(child)
         if len(frontier) > stats.max_frontier:

@@ -271,9 +271,10 @@ class RepairTable:
     holds its flaw, so the id cannot be reused while the table lives.
 
     `inherited` maps an open condition's insertion stamp to its list in
-    the node's parent, and `delta` is the refinement_delta from the
-    parent to the node: such a list is re-checked
-    (rederive_open_repairs), not enumerated again.  The search's
+    the node's parent, and `delta` is the Delta that search.refinements
+    made with the node, what the refinement from the parent changed:
+    such a list is re-checked against it (rederive_open_repairs), not
+    enumerated again.  The search's
     dead-end probe reads the inherited lists, and the search passes
     this node's open-condition lists on to its children (open_lists)."""
 

@@ -95,10 +95,11 @@ def reference_threat_repairs(plan, flaw):
 
 
 def store_diff_delta(parent, child):
-    """Reference for flaws.refinement_delta: the delta read off the two
-    plans, with `rebound` the child's representative of every term whose
-    class changed, found by a diff of the two binding stores, and both
-    ends of every disequality the child has and the parent has not."""
+    """Reference for the Delta that search.refinements makes: the delta
+    read off the two plans, with `rebound` the child's representative of
+    every term whose class changed, found by a diff of the two binding
+    stores, and both ends of every disequality the child has and the
+    parent has not."""
     reordered = child.orderings is not parent.orderings
     step_added = len(child.steps) > len(parent.steps)
     old, new = parent.bindings, child.bindings

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poclab import search
+from poclab import flaws, search
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
 from poclab.flaws import (
     DEMOTE,
@@ -20,13 +20,13 @@ from poclab.flaws import (
     REUSE,
     SEPARATE,
     _UNBOUND,
+    Expansion,
     detect_new_threats,
     enumerate_open_repairs,
     enumerate_repairs,
     enumerate_threat_repairs,
     has_any_repair,
     rederive_open_repairs,
-    refinement_delta,
     refresh_agenda,
     refresh_flaw,
 )
@@ -289,8 +289,8 @@ def threat_repairs_checked():
     log = Counter()
     refresh = search.refresh_agenda
 
-    def checked(plan, since=None):
-        node = refresh(plan, since)
+    def checked(plan, since=None, delta=None):
+        node = refresh(plan, since, delta)
         for f in node.agenda:
             if f.kind == OPEN:
                 continue
@@ -495,7 +495,7 @@ def test_open_cost_can_increase_when_steps_arrive():
     plan = make_skeletal_plan(dom, prob)
     first, second = plan.agenda
     before = RepairTable(plan, dom).cost(second)  # two fresh swap effects unify
-    child = refinements(plan, first, dom)[0]  # establish (on A B) by a new swap
+    child, _ = refinements(plan, first, dom)[0]  # establish (on A B) by a new swap
     assert child.n_steps == 1
     # the new step's second effect is now ground (on B A): reuse appears
     after = RepairTable(child, dom).cost(second)
@@ -602,7 +602,7 @@ def test_init_repairs_read_each_plans_own_start_step():
     # start effects, and the two problems' initial states differ.
     def nodes(dom, prob):
         root = make_skeletal_plan(dom, prob)
-        return [root] + [c for f in root.agenda for c in refinements(root, f, dom)]
+        return [root] + [c for f in root.agenda for c, _ in refinements(root, f, dom)]
 
     for domain, names in (
         ("tileworld", ("tileworld-1", "tileworld-4")),
@@ -660,7 +660,7 @@ def _use_step_plan(distinct=False):
     conditions by predicate, and the step's parameters; with `distinct`,
     ?w and ?x are kept apart."""
     root = make_skeletal_plan(_DELTAS, _DELTAS_PROBLEM)
-    plan = refinements(root, root.agenda[0], _DELTAS)[0]
+    plan, _ = refinements(root, root.agenda[0], _DELTAS)[0]
     params = plan.steps[2].params
     if distinct:
         plan = plan._replace(bindings=plan.bindings.require_distinct(params[0], params[1]))
@@ -668,12 +668,10 @@ def _use_step_plan(distinct=False):
 
 
 def _deltas(plan, flaw, dom):
-    """(repair, child, delta) for each repair of `flaw`."""
+    """(repair, child, delta) for each repair of `flaw`, as refinements
+    makes them."""
     children = refinements(plan, flaw, dom)
-    return [
-        (r, c, refinement_delta(plan, flaw, r, c))
-        for r, c in zip(enumerate_repairs(plan, flaw, dom), children, strict=True)
-    ]
+    return [(r, c, d) for r, (c, d) in zip(enumerate_repairs(plan, flaw, dom), children, strict=True)]
 
 
 def test_threat_repair_deltas():
@@ -705,6 +703,37 @@ def test_reuse_rebinds_the_union_leaders_and_a_fresh_step_nothing():
     assert (reuse.kind, reused) == (REUSE, (True, False, {x, y}))
     assert new.kind == NEW_STEP and fresh is _UNBOUND[True, True]
     assert store_diff_delta(plan, child).rebound == {x, y}
+
+
+def test_a_new_step_that_binds_only_its_fresh_parameters_lets_the_refresh_skip_unification(monkeypatch):
+    """A new stack step establishes (on ?x ?y) by binding its fresh
+    parameters to ?x and ?y.  The child's store is a new object, yet no
+    term of the parent changed class, so the delta is the shared unbound
+    record, and the refresh re-tests the inherited threat's span but
+    never classifies it, with the result of the full re-test."""
+    producer = Step(2, "p", (), (), (lit("on", t, u),))
+    consumer = Step(3, "c", (), (lit("on", t, u), lit("on", x, y)), ())
+    rival = Step(4, "r", (), (), (lit("on", x, y, positive=False),))
+    link = CausalLink(2, lit("on", t, u), 3)
+    threat = Flaw(SEPARABLE, 4, lit("on", x, y, positive=False), link, inserted_at=1)
+    need = Flaw(OPEN, 3, lit("on", x, y), None, inserted_at=0)
+    plan = plan_with(steps=(producer, consumer, rival), links=(link,), order_pairs=((2, 3),), agenda=(need, threat))
+    (reused, _), (child, delta) = refinements(plan, need, MINI2)
+    assert reused.steps == plan.steps and child.steps[-1].name == "stack"
+    assert child.bindings is not plan.bindings and delta is _UNBOUND[True, True]
+    assert threat in child.agenda
+    classified = []
+    threat_kind = flaws._threat_kind
+
+    def counted(effect, condition, store, systematic):
+        classified.append((effect, condition))
+        return threat_kind(effect, condition, store, systematic)
+
+    monkeypatch.setattr(flaws, "_threat_kind", counted)
+    got = refresh_agenda(child, Expansion(2, None), delta)
+    assert not classified
+    assert got == refresh_agenda(child)
+    assert (threat.literal, link.condition) in classified  # the full re-test classifies it
 
 
 def test_establishment_deltas_rebind_each_merged_class_of_the_parent():

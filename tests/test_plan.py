@@ -175,7 +175,7 @@ def test_parent_serialization_unchanged_by_refinement():
     assert kids
     assert serialize(parent) == before
     # a new move or move-from-table step: its three preconditions plus (on B C)
-    assert [(kid.n_steps, kid.n_open, kid.n_threats) for kid in kids] == [(1, 4, 0), (1, 4, 0)]
+    assert [(kid.n_steps, kid.n_open, kid.n_threats) for kid, _ in kids] == [(1, 4, 0), (1, 4, 0)]
 
 
 def test_serialization_golden():

@@ -156,7 +156,7 @@ def test_separable_threat_yields_five_children():
     dom, _ = bundled("blocks")
     kids = refinements(plan, flaw, dom)
     assert len(kids) == 5
-    for kid in kids:
+    for kid, _ in kids:
         assert flaw not in kid.agenda
 
 
@@ -173,8 +173,8 @@ def test_reverse_flag_reverses_new_step_preconditions():
     dom, probs = bundled("blocks")
     plan = make_skeletal_plan(dom, probs[0])
     flaw = plan.agenda[0]  # (on A B): move or move-from-table
-    normal = refinements(plan, flaw, dom, SearchConfig())
-    reversed_ = refinements(plan, flaw, dom, SearchConfig(reverse_preconditions=True))
+    [*_, (normal, _)] = refinements(plan, flaw, dom, SearchConfig())
+    [*_, (reversed_, _)] = refinements(plan, flaw, dom, SearchConfig(reverse_preconditions=True))
 
     def new_open_preds(child):
         added = [f for f in child.agenda if f.kind == OPEN and f.step == 2]
@@ -183,8 +183,8 @@ def test_reverse_flag_reverses_new_step_preconditions():
         )  # appended in insertion order
         return [f.literal.pred for f in added]
 
-    assert new_open_preds(normal[-1]) == ["on-table", "clear", "clear"]
-    assert new_open_preds(reversed_[-1]) == ["clear", "clear", "on-table"]
+    assert new_open_preds(normal) == ["on-table", "clear", "clear"]
+    assert new_open_preds(reversed_) == ["clear", "clear", "on-table"]
     # the goal step's preconditions are ordered the same way
     root = make_skeletal_plan(dom, probs[0], reverse=True)
     assert [f.literal for f in root.agenda] == list(reversed(probs[0].goal))
@@ -227,7 +227,7 @@ def test_refinements_number_past_a_hand_built_plan():
         return {t.vid for t in terms} | {t.vid for st in p.steps for t in st.params}
 
     def check(parent, flaw):
-        kids = refinements(parent, flaw, dom)
+        kids = [kid for kid, _ in refinements(parent, flaw, dom)]
         grown = [k for k in kids if len(k.steps) > len(parent.steps)]
         assert grown  # move and move-from-table
         top_vid = max(vids(parent))
@@ -387,33 +387,37 @@ def rederivations_checked(dom):
         yield log
 
 
-class DeltasChecked:
-    """Observer: every child's refinement_delta, read off its repair,
+@contextmanager
+def deltas_checked():
+    """While active, every child's Delta, as search.refinements makes it,
     agrees with the store diff (helpers.store_diff_delta) on the
     orderings and the step, and rebinds a subset of the diff's
     representatives.  A representative only the diff has leads a class
     that gained only the new step's fresh parameters: no term of the
-    parent changed class.  Counts the children whose delta is narrower
-    than the diff."""
+    parent changed class.  Yields a count of the children whose delta is
+    narrower than the diff."""
+    log = Counter()
+    refine = search.refinements
 
-    def __init__(self, dom):
-        self.dom = dom
-        self.narrower = 0
-
-    def on_expand(self, node, flaw, children):
-        repairs = flaws.enumerate_repairs(node, flaw, self.dom)
-        for repair, child in zip(repairs, children, strict=True):
-            got = flaws.refinement_delta(node, flaw, repair, child)
-            want = store_diff_delta(node, child)
+    def checked(plan, flaw, domain, *args):
+        out = refine(plan, flaw, domain, *args)
+        repairs = flaws.enumerate_repairs(plan, flaw, domain)
+        for repair, (child, got) in zip(repairs, out, strict=True):
+            want = store_diff_delta(plan, child)
             assert got[:2] == want[:2] and got.rebound <= want.rebound, (
                 f"{repair.describe()} of {flaw.describe()}: delta {got}, store diff {want}"
             )
             extra = want.rebound - got.rebound
             if extra:
                 fresh = set(child.steps[-1].params) if got.step_added else set()
-                moved = {m for m, r in child.bindings._rep.items() if r in extra and node.bindings.find(m) != r}
+                moved = {m for m, r in child.bindings._rep.items() if r in extra and plan.bindings.find(m) != r}
                 assert moved <= fresh, f"{repair.describe()} of {flaw.describe()}: {moved - fresh} changed class"
-                self.narrower += 1
+                log["narrower"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refinements", checked)
+        yield log
 
 
 _REDERIVATION_CELLS = pytest.mark.parametrize(
@@ -422,19 +426,21 @@ _REDERIVATION_CELLS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
+@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC", "UCPOP", "DSep"])
 @_REDERIVATION_CELLS
 def test_rederived_repairs_equal_a_fresh_enumeration(name, domain, problem):
-    """Every child's delta is checked against the store diff, too."""
+    """Every child's delta is checked against the store diff, too,
+    under strategies that read no cost and so re-derive no list."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
-    check = DeltasChecked(dom)
-    with rederivations_checked(dom) as log:
-        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=1000), observer=check)
-    assert log and check.narrower
+    strategy = builtin(name)
+    with rederivations_checked(dom) as log, deltas_checked() as deltas:
+        plan_search(dom, prob, strategy, SearchConfig(node_limit=1000))
+    assert deltas["narrower"]
+    assert bool(log) == strategy.reads_costs
 
 
-@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC"])
+@pytest.mark.parametrize("name", ["LCFR", "DUnf-Gen", "ZLIFO", "UCPOP-LC", "UCPOP", "DSep"])
 @_REDERIVATION_CELLS
 def test_rederived_repairs_equal_a_fresh_enumeration_under_sweep_toggled_toggles(name, domain, problem):
     """Cached costs, the dmin test and systematic threats.  With cached
@@ -443,11 +449,10 @@ def test_rederived_repairs_equal_a_fresh_enumeration_under_sweep_toggled_toggles
     delta is still checked."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
-    check = DeltasChecked(dom)
     config = SearchConfig(node_limit=1000, cost_mode="cached", dmin_check=True, systematic=True)
-    with rederivations_checked(dom):
-        plan_search(dom, prob, builtin(name), config, observer=check)
-    assert check.narrower
+    with rederivations_checked(dom), deltas_checked() as deltas:
+        plan_search(dom, prob, builtin(name), config)
+    assert deltas["narrower"]
 
 
 # A new step that establishes a 0-ary condition leaves the bindings as
@@ -507,13 +512,16 @@ def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, nam
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(small_domains(), threat_domains()), st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen"]), st.booleans())
+@given(
+    st.one_of(small_domains(), threat_domains()),
+    st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen", "UCPOP", "DSep"]),
+    st.booleans(),
+)
 def test_deltas_rebind_no_more_than_the_store_diff_on_random_domains(case, name, systematic):
     """Under systematic threats, same-sign threats are separated too."""
     dom, prob = case
-    with rederivations_checked(dom):
-        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, systematic=systematic),
-                    observer=DeltasChecked(dom))
+    with rederivations_checked(dom), deltas_checked():
+        plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, systematic=systematic))
 
 
 def _reference_step(op, sid, vids):
@@ -562,16 +570,16 @@ def test_template_instantiation_equals_the_mapping_reference_on_random_domains(c
 @contextmanager
 def refreshes_checked():
     """While active, every agenda refresh the search makes with the
-    node's Expansion must equal the full re-test refresh_agenda(node):
-    the same flaws in the same order with the same kinds, and the node
-    itself back exactly when the full re-test gives it back.  Yields
-    counts of the refreshes checked and of the threats whose ordering
-    test or unification the Expansion let them skip."""
+    node's Expansion and Delta must equal the full re-test
+    refresh_agenda(node): the same flaws in the same order with the same
+    kinds, and the node itself back exactly when the full re-test gives
+    it back.  Yields counts of the refreshes checked and of the threats
+    whose ordering test or unification the Delta let them skip."""
     log = Counter()
     refresh = search.refresh_agenda
 
-    def checked(plan, since=None):
-        got = refresh(plan, since)
+    def checked(plan, since=None, delta=None):
+        got = refresh(plan, since, delta)
         want = refresh(plan)
         assert [(f.kind, f.inserted_at) for f in got.agenda] == [(f.kind, f.inserted_at) for f in want.agenda]
         assert got.agenda == want.agenda and (got is plan) == (want is plan)
@@ -579,8 +587,8 @@ def refreshes_checked():
             log["refreshes"] += 1
             for f in plan.agenda:
                 if f.kind != OPEN and f.inserted_at < since.stamp:
-                    log["spans skipped"] += id(plan.orderings) == since.orderings
-                    log["kinds skipped"] += id(plan.bindings) == since.bindings
+                    log["spans skipped"] += not delta.reordered
+                    log["kinds skipped"] += not delta.rebound
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -638,8 +646,8 @@ def probes_checked(dom):
     log = Counter()
     refresh = search.refresh_agenda
 
-    def checked(plan, since=None):
-        node = refresh(plan, since)
+    def checked(plan, since=None, delta=None):
+        node = refresh(plan, since, delta)
         for f in node.agenda:
             got = flaws.has_any_repair(node, f, dom)
             assert got == bool(flaws.enumerate_repairs(node, f, dom)), f"{f.describe()}: probe says {got}"
