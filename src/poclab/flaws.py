@@ -3,10 +3,10 @@
 The repair cost of an open condition is I + S + N: establishers in the
 initial state, in effects of existing steps not ordered after the open's
 own step, and in effects of library operators.  The initial state is
-the start step's effects, scanned as every other step's are; a ground
-negative condition absent from them holds by the closed world.  Library
-establishers come from the domain's own index, Domain.establishers, so
-this module keeps no state between calls.  Threats cost at most two
+the start step's effects, scanned as every other step's are; a negative
+condition none of them can codesignate with holds by the closed world.
+Library establishers come from the domain's own index,
+Domain.establishers, so this module keeps no state between calls.  Threats cost at most two
 (promotion and demotion, each read off the ordering bits) plus, for
 separable threats, one separation per pair of class representatives
 not already forced equal.  A refinement's new threats are looked for
@@ -15,11 +15,10 @@ condition's predicate and the opposite sign (either sign under
 systematic), of a step inside the link's span, reaches the union
 kernel.  Threat liveness is re-validated lazily, when the search
 refreshes a popped node's agenda, not eagerly on every constraint
-addition, and only what the refinement changed is re-tested: a threat
-the refinement found itself is kept, and an inherited one is re-tested
-against the orderings only if the refinement reordered, and against
-the bindings only if it rebound a class of the parent's terms
-(refresh_agenda with the node's Expansion and Delta).
+addition, and only what the refinement changed is re-tested: every
+threat is re-tested against the orderings only if the refinement
+reordered, and against the bindings only if it rebound a class of the
+parent's terms (refresh_agenda with the node's Delta).
 
 The costs and the refinements share one scan per flaw kind: a cost is
 the length of the enumeration, and each enumerated repair becomes a
@@ -43,7 +42,6 @@ node's repair lists in one strategies.RepairTable.
 
 from __future__ import annotations
 
-from math import inf
 from typing import NamedTuple
 
 from .domains import Domain, Operator, SchemaLiteral
@@ -108,12 +106,14 @@ _CLOSED_WORLD = Repair(FROM_START, step=START_ID)
 
 
 def _closed_world(cond: Literal, store: BindingStore, start: Step) -> bool:
-    """Closed world: a negative condition holds initially iff it is
-    ground and its atom is absent from the start step's effects."""
-    args = tuple(map(store.constant_of, cond.args))
-    if None in args:
-        return False
-    return not any(eff.pred == cond.pred and eff.args == args for eff in start.effects)
+    """Closed world: a negative condition holds initially iff no atom of
+    the start step's effects can codesignate with its atom under store,
+    ground or not."""
+    n = len(cond.args)
+    return not any(
+        eff.pred == cond.pred and len(eff.args) == n and _union(eff.args, cond.args, store) is not None
+        for eff in start.effects
+    )
 
 
 def schema_effect_unifies(cond: Literal, eff: SchemaLiteral, store: BindingStore) -> bool:
@@ -257,41 +257,26 @@ def refresh_flaw(plan: PartialPlan, flaw: Flaw, span: bool = True, kinds: bool =
     return Flaw(kind, s, flaw.literal, link, flaw.inserted_at, flaw.cached_cost)
 
 
-class Expansion(NamedTuple):
-    """One expansion of a node, as its children need it when they are
-    popped: one record, shared by every child.  `stamp` is above every
-    insertion stamp on the node's agenda, so every flaw the expansion
-    added is stamped at or above it; `open_lists` holds the node's open
-    conditions' repair lists by stamp (None when it made none)."""
-
-    stamp: int
-    open_lists: dict[int, list[Repair]] | None
-
-
-def refresh_agenda(plan: PartialPlan, since: Expansion | None = None, delta: Delta | None = None) -> PartialPlan:
+def refresh_agenda(plan: PartialPlan, delta: Delta | None = None) -> PartialPlan:
     """Plan with vanished flaws dropped and threats reclassified.
     Returns the same object when nothing changed.
 
-    Without `since`, every threat is re-tested.  With `since`, the
-    expansion that made `plan`, and `delta`, what that refinement
-    changed, only what changed is: a threat stamped at or above
-    since.stamp was found by the refinement against the plan's own
-    orderings and bindings, and is kept as it is; an older one was
-    live, with its kind, in the expanded node, so its ordering test runs
-    only if delta.reordered, and its unification only if delta.rebound
-    names a class."""
-    if since is None:
-        fresh, span, kinds = inf, True, True  # no threat is the refinement's own
-    else:
+    Without `delta`, every threat is re-tested.  With `delta`, what the
+    refinement that made `plan` changed, each threat's ordering test
+    runs only if delta.reordered, and its unification only if
+    delta.rebound names a class.  An inherited threat was live, with its
+    kind, in the expanded node; one the refinement found was found
+    against the plan's own stores, so its re-test gives it back."""
+    span = kinds = True
+    if delta is not None:
         span, _, rebound = delta
         kinds = bool(rebound)
         if not (span or kinds):
             return plan
-        fresh = since.stamp
     refreshed: list[Flaw] = []
     changed = False
     for f in plan.agenda:
-        if f.kind != OPEN and f.inserted_at < fresh:
+        if f.kind != OPEN:
             r = refresh_flaw(plan, f, span, kinds)
             if r is not f:
                 changed = True
@@ -390,9 +375,9 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     classes apart, orderings grow, steps are appended.  So a repair
     missing from the parent's list stays missing, and the child's list
     is the parent's repairs that still hold, plus reuse of the appended
-    step, plus closed-world support for a negative condition that has
-    just become ground.  A repair is re-tested only against what
-    changed: its reuse ordering when the orderings did, its unification
+    step, plus closed-world support for a negative condition that no
+    initial atom can match any more.  A repair is re-tested only against
+    what changed: its reuse ordering when the orderings did, its unification
     when a class of the condition's or of the effect's terms did.  The
     order is the enumeration's, and an unchanged list is `parent`
     itself."""
@@ -417,7 +402,7 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
         if r.kind == NEW_STEP:
             if touched and not schema_effect_unifies(cond, eff, store):
                 continue
-        elif eff is not None:  # init or reuse; the closed world holds once ground
+        elif eff is not None:  # init or reuse; the closed world, once it holds, keeps holding
             if reordered and r.kind == REUSE and (after >> r.step) & 1:
                 continue
             if (

@@ -6,15 +6,14 @@ selected flaw become children, each built in one pass by refinements(),
 which also adds the flaws a repair makes and, in cached-cost mode, costs
 them in the child.  A node any of whose flaws has repair cost zero is a
 dead end and is pruned before expansion (switchable).
-A frontier entry carries a child's rank, its tie-break, the child, the
-Expansion it came from and the Delta that refinements() made with the
-child: whether the refinement reordered, whether it added a step, and
-which classes of the parent's terms it rebound.  The Expansion is one
-record shared by all the children of one expansion: a stamp above every
-stamp on the parent's agenda, and its open-condition repair lists.  When
-a child is popped, its agenda refresh re-tests only what the Delta says
-changed, and it re-checks the inherited lists (strategies.RepairTable)
-against the same Delta instead of enumerating the opens again; the
+A frontier entry carries a child's rank, its tie-break, the child, its
+parent's open-condition repair lists (one dict, shared by all the
+children of one expansion) and the Delta that refinements() made with
+the child: whether the refinement reordered, whether it added a step,
+and which classes of the parent's terms it rebound.  When a child is
+popped, its agenda refresh re-tests only what the Delta says changed,
+and it re-checks the inherited lists (strategies.RepairTable) against
+the same Delta instead of enumerating the opens again; the
 dead-end probe reads them, and asks flaws.has_any_repair only of flaws
 with no inherited list, which answers most of those from the domain
 and the orderings.
@@ -49,7 +48,6 @@ from .flaws import (
     SEPARATE,
     _UNBOUND,
     Delta,
-    Expansion,
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
@@ -361,9 +359,10 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
     # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
-    #  the Expansion it came from, the Delta from its parent).  Every flaw
-    # on the root's agenda is its own, found against its own stores.
-    frontier: list[tuple] = [(rank(root, config.rank), 0, root, Expansion(0, None), _UNBOUND[False, False])]
+    #  its parent's open-condition lists, the Delta from its parent).  The
+    # root has no parent, and every flaw on its agenda was found against
+    # its own stores, so its Delta re-tests nothing.
+    frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, _UNBOUND[False, False])]
     stats.max_frontier = 1
     on_enqueue = getattr(observer, "on_enqueue", None)
     on_expand = getattr(observer, "on_expand", None)
@@ -382,13 +381,13 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         return finish(SOLVED, node)
 
     while frontier:
-        _, _, node, since, delta = heapq.heappop(frontier)
-        node = refresh_agenda(node, since, delta)
+        _, _, node, lists, delta = heapq.heappop(frontier)
+        node = refresh_agenda(node, delta)
         if not node.agenda:
             return solved(node)
 
         # each flaw's list made at most once per node
-        table = RepairTable(node, domain, since.open_lists, delta)
+        table = RepairTable(node, domain, lists, delta)
         if config.dead_end_pruning and any(
             not (table.repairs(f) if f.inserted_at in table.inherited else has_any_repair(node, f, domain))
             for f in node.agenda
@@ -407,10 +406,10 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         children = refinements(node, flaw, domain, config, ctx, table)
         if on_expand is not None:
             on_expand(node, flaw, [child for child, _ in children])
-        since = Expansion(max([f.inserted_at for f in node.agenda]) + 1, table.open_lists(flaw))
+        lists = table.open_lists(flaw)
         for child, delta in children:
             stats.nodes_generated += 1
-            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, since, delta))
+            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, lists, delta))
             if on_enqueue is not None:
                 on_enqueue(child)
         if len(frontier) > stats.max_frontier:

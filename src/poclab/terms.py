@@ -169,10 +169,6 @@ class BindingStore:
             return self
         return BindingStore(self._rep, self._neq | {p})
 
-    def constant_of(self, t: Term) -> Term | None:
-        r = self.find(t)
-        return None if r.is_variable else r
-
     def classes(self) -> list[tuple[Term, ...]]:
         """Non-singleton classes, members sorted, classes sorted by head."""
         groups: dict[Term, list[Term]] = {}

@@ -20,7 +20,6 @@ from poclab.flaws import (
     REUSE,
     SEPARATE,
     _UNBOUND,
-    Expansion,
     detect_new_threats,
     enumerate_open_repairs,
     enumerate_repairs,
@@ -289,8 +288,8 @@ def threat_repairs_checked():
     log = Counter()
     refresh = search.refresh_agenda
 
-    def checked(plan, since=None, delta=None):
-        node = refresh(plan, since, delta)
+    def checked(plan, delta=None):
+        node = refresh(plan, delta)
         for f in node.agenda:
             if f.kind == OPEN:
                 continue
@@ -428,10 +427,12 @@ def test_negative_open_closed_world():
     assert [r.kind for r in enumerate_open_repairs(plan, absent, dom)] == [FROM_START, NEW_STEP]
     # (p A) holds initially: only the explicit deleter can establish
     assert [r.kind for r in enumerate_open_repairs(plan, present, dom)] == [NEW_STEP]
-    # lifted negative conditions never match the closed world
+    # a lifted one holds by the closed world only once (p A) cannot match it
     lifted = Flaw(OPEN, GOAL_ID, lit("p", x, positive=False), None, inserted_at=9)
     with_lifted = PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, (lifted,))
     assert [r.kind for r in enumerate_open_repairs(with_lifted, lifted, dom)] == [NEW_STEP]
+    apart = with_lifted._replace(bindings=plan.bindings.require_distinct(x, A))
+    assert [r.kind for r in enumerate_open_repairs(apart, lifted, dom)] == [FROM_START, NEW_STEP]
 
 
 def test_refresh_vanish_reclassify_and_live():
@@ -627,8 +628,7 @@ def test_init_repairs_read_each_plans_own_start_step():
                         seen += len(want)
                     else:
                         atom = cond.negated()
-                        ground = [plan.bindings.constant_of(a) for a in atom.args]
-                        holds = None not in ground and lit(atom.pred, *ground) not in start
+                        holds = all(unify(atom, e, plan.bindings) is None for e in start)
                         assert [r.effect for r in got] == ([None] if holds else [])
         assert seen > 0
 
@@ -730,7 +730,7 @@ def test_a_new_step_that_binds_only_its_fresh_parameters_lets_the_refresh_skip_u
         return threat_kind(effect, condition, store, systematic)
 
     monkeypatch.setattr(flaws, "_threat_kind", counted)
-    got = refresh_agenda(child, Expansion(2, None), delta)
+    got = refresh_agenda(child, delta)
     assert not classified
     assert got == refresh_agenda(child)
     assert (threat.literal, link.condition) in classified  # the full re-test classifies it

@@ -56,7 +56,7 @@ def test_unify_mismatched_predicate_or_polarity():
 def test_unify_repeated_variable_forces_constants_equal():
     assert unify(lit("p", A, B), lit("p", x, x), EMPTY_STORE) is None
     s = unify(lit("p", A, A), lit("p", x, x), EMPTY_STORE)
-    assert s is not None and s.constant_of(x) == A
+    assert s is not None and s.find(x) == A
 
 
 def test_forced_complementary_ground():
