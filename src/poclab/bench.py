@@ -1,13 +1,13 @@
 """Benchmark matrices: strategy × problem grids, %-overrun, CSV output.
 
-Every cell runs once per requested limit kind (a node-limit pass and a
-time-limit pass).  %-overrun for a strategy on a problem is
-((c - m)/m) * 100 where m is the best node count any tested strategy
-achieved on that problem; cells that hit a limit are charged the nominal
-limit value, not their actual overshoot.  Problems no strategy solved
-are excluded from aggregates.  Overruns are exact rationals end to end
-and only rendered to two decimals at the CSV boundary, so goldens never
-drift.
+Every cell runs once per limit its config sets: a node-limit pass when
+`node_limit` is set and a time-limit pass when `time_limit` is.
+%-overrun for a strategy on a problem is ((c - m)/m) * 100 where m is
+the best node count any tested strategy achieved on that problem; cells
+that hit a limit are charged the nominal limit value, not their actual
+overshoot.  Problems no strategy solved are excluded from aggregates.
+Overruns are exact rationals end to end and only rendered to two
+decimals at the CSV boundary, so goldens never drift.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .domains import Domain, Problem
 from .search import EXHAUSTED, SOLVED, SearchConfig, plan_search
@@ -83,7 +83,6 @@ def effective_count(record: RunRecord) -> int:
 @dataclass(frozen=True)
 class OverrunTable:
     minima: dict[str, int]
-    counts: dict[tuple[str, str], int]
     overruns: dict[tuple[str, str], Fraction]
     averages: dict[str, Fraction]
     excluded: tuple[str, ...]
@@ -102,16 +101,13 @@ def build_overrun_table(records: Sequence[RunRecord]) -> OverrunTable:
     included = sorted(p for p in by_problem if p not in excluded)
 
     minima: dict[str, int] = {}
-    counts: dict[tuple[str, str], int] = {}
     overruns: dict[tuple[str, str], Fraction] = {}
     for p in included:
         minima[p] = min(effective_count(r) for r in by_problem[p])
     for r in node_records:
         if r.problem in excluded:
             continue
-        c = effective_count(r)
-        counts[(r.strategy, r.problem)] = c
-        overruns[(r.strategy, r.problem)] = pct_overrun(c, minima[r.problem])
+        overruns[(r.strategy, r.problem)] = pct_overrun(effective_count(r), minima[r.problem])
 
     averages: dict[str, Fraction] = {}
     strategies = sorted({r.strategy for r in node_records})
@@ -119,7 +115,7 @@ def build_overrun_table(records: Sequence[RunRecord]) -> OverrunTable:
         cells = [overruns[(s, p)] for p in included if (s, p) in overruns]
         if cells:
             averages[s] = sum(cells, Fraction(0)) / len(cells)
-    return OverrunTable(minima, counts, overruns, averages, excluded)
+    return OverrunTable(minima, overruns, averages, excluded)
 
 
 def second_worst(records: Sequence[RunRecord], problem: str) -> int:
@@ -140,16 +136,17 @@ def _strategy_label(s: Strategy) -> str:
     return s.name if s.name is not None else str(s)
 
 
-def _run_cell(task: tuple[Domain, Problem, Strategy, SearchConfig, str]) -> RunRecord:
-    domain, problem, strategy, config, kind = task
+def _run_cell(task: tuple[Domain, Problem, Strategy, SearchConfig]) -> RunRecord:
+    """One search under a config that sets exactly one limit."""
+    domain, problem, strategy, config = task
     out = plan_search(domain, problem, strategy, config)
-    limit_value = config.node_limit if kind == NODE_KIND else config.time_limit
+    node_pass = config.node_limit is not None
     return RunRecord(
         strategy=_strategy_label(strategy),
         problem=problem.name,
         rank_label=config.rank.label,
-        limit_kind=kind,
-        limit_value=float(limit_value),
+        limit_kind=NODE_KIND if node_pass else TIME_KIND,
+        limit_value=float(config.node_limit if node_pass else config.time_limit),
         status=out.status,
         nodes=out.stats.nodes_generated,
         seconds=out.stats.wall_seconds,
@@ -162,17 +159,16 @@ def run_matrix(
     tasks: Sequence[tuple[Domain, Problem]],
     strategies: Sequence[Strategy],
     config: SearchConfig,
-    limit_kinds: Sequence[str] = (NODE_KIND, TIME_KIND),
     jobs: int = 1,
 ) -> tuple[list[RunRecord], OverrunTable]:
-    """Run every (strategy, problem, limit kind) cell and build the
-    node-count overrun table.
+    """Run every (strategy, problem) cell once per limit `config` sets
+    and build the node-count overrun table.
 
     `config` supplies rank weights, toggles, the seed, and the limits;
     each pass keeps only its own limit so the other cannot interfere.
     """
-    if not tasks or not strategies or not limit_kinds:
-        raise ValueError("tasks, strategies, and limit_kinds must be non-empty")
+    if not tasks or not strategies:
+        raise ValueError("tasks and strategies must be non-empty")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = [p.name for _, p in tasks]
@@ -181,24 +177,20 @@ def run_matrix(
     labels = [_strategy_label(s) for s in strategies]
     if len(set(labels)) != len(labels):
         raise ValueError("strategy labels must be unique across the matrix")
-    for kind in limit_kinds:
-        if kind == NODE_KIND and config.node_limit is None:
-            raise ValueError("node pass requested but config.node_limit is unset")
-        if kind == TIME_KIND and config.time_limit is None:
-            raise ValueError("time pass requested but config.time_limit is unset")
-        if kind not in (NODE_KIND, TIME_KIND):
-            raise ValueError(f"unknown limit kind {kind!r}")
+    passes = []
+    if config.node_limit is not None:
+        passes.append(replace(config, time_limit=None))
+    if config.time_limit is not None:
+        passes.append(replace(config, node_limit=None))
+    if not passes:
+        raise ValueError("config sets neither node_limit nor time_limit")
 
-    cells = []
-    for strategy in strategies:
-        for domain, problem in tasks:
-            for kind in limit_kinds:
-                cell_config = replace(
-                    config,
-                    node_limit=config.node_limit if kind == NODE_KIND else None,
-                    time_limit=config.time_limit if kind == TIME_KIND else None,
-                )
-                cells.append((domain, problem, strategy, cell_config, kind))
+    cells = [
+        (domain, problem, strategy, pass_config)
+        for strategy in strategies
+        for domain, problem in tasks
+        for pass_config in passes
+    ]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -217,14 +209,15 @@ def _limit_text(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else f"{value:g}"
 
 
-def write_csv(records: Sequence[RunRecord], table: OverrunTable, out: TextIO) -> None:
+def render_csv(records: Sequence[RunRecord], table: OverrunTable) -> str:
     """RFC-4180 rows sorted by (strategy, problem, limit kind).
 
     Node-pass rows leave `seconds` empty: they are the byte-reproducible
     surface, and wall time would break that.  Time-pass rows carry the
     measurement and are excluded from determinism goldens instead.
     """
-    w = csv.writer(out)
+    buf = io.StringIO()
+    w = csv.writer(buf)
     w.writerow(CSV_COLUMNS)
     for r in sorted(records, key=lambda r: (r.strategy, r.problem, r.limit_kind)):
         if r.limit_kind == NODE_KIND:
@@ -249,11 +242,6 @@ def write_csv(records: Sequence[RunRecord], table: OverrunTable, out: TextIO) ->
                 overrun,
             ]
         )
-
-
-def render_csv(records: Sequence[RunRecord], table: OverrunTable) -> str:
-    buf = io.StringIO()
-    write_csv(records, table, buf)
     return buf.getvalue()
 
 

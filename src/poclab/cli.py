@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import NODE_KIND, TIME_KIND, format_pct, render_csv, run_matrix
+from .bench import format_pct, render_csv, run_matrix
 from .domains import (
     DOMAIN_EXTENSION,
     PROBLEM_EXTENSION,
@@ -187,14 +187,9 @@ def _cmd_bench(args) -> int:
     texts = re.split(r",(?![^{]*})", args.strategies)
     strategies = [_parse_strategy_arg(s.strip()) for s in texts if s.strip()]
     config = _build_config(args)
-    kinds = []
-    if config.node_limit is not None:
-        kinds.append(NODE_KIND)
-    if config.time_limit is not None:
-        kinds.append(TIME_KIND)
-    if not kinds:
+    if config.node_limit is None and config.time_limit is None:
         raise ValueError("bench needs --node-limit and/or --time-limit")
-    records, table = run_matrix(tasks, strategies, config, kinds, jobs=args.jobs)
+    records, table = run_matrix(tasks, strategies, config, jobs=args.jobs)
     text = render_csv(records, table)
     if args.out == "-":
         sys.stdout.write(text)

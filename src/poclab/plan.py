@@ -277,31 +277,36 @@ def _plan_variables(plan: PartialPlan) -> list[Term]:
 
 
 def ground_assignment(plan: PartialPlan, constant_names: tuple[str, ...]) -> dict[Term, Term] | None:
-    """Map every unbound class representative to the lowest-named
-    constant consistent with the noncodesignation constraints.  Greedy
-    per class in deterministic order; None when some class has no
-    consistent constant left."""
+    """Map every unbound class representative to a constant consistent
+    with the noncodesignation constraints; None when no such map exists.
+    Depth-first over the classes in key order and the names in sorted
+    order, so the answer is greedy's lowest-named one whenever greedy
+    succeeds.  A class with no constant left backs up to the latest
+    earlier class it conflicts with (graph-based backjumping)."""
     names = sorted(set(constant_names))
-    assignment: dict[Term, Term] = {}
-    reps: dict[Term, None] = {}
-    for t in _plan_variables(plan):
-        r = plan.bindings.find(t)
-        if r.is_variable:
-            reps.setdefault(r, None)
-    for r in sorted(reps, key=lambda t: t.key):
-        banned = set()
-        for other in plan.bindings.neq_reps_of(r):
-            if not other.is_variable:
-                banned.add(other.name)
-            elif other in assignment:
-                banned.add(assignment[other].name)
-        for name in names:
-            if name not in banned:
-                assignment[r] = const(name)
-                break
-        else:
+    reps = {plan.bindings.find(t) for t in _plan_variables(plan)}
+    classes = sorted((r for r in reps if r.is_variable), key=lambda t: t.key)
+    index = {r: i for i, r in enumerate(classes)}
+    apart = [plan.bindings.neq_reps_of(r) for r in classes]
+    banned = [{o.name for o in others if not o.is_variable} for others in apart]
+    parents = [{index[o] for o in others if index.get(o, i) < i} for i, others in enumerate(apart)]
+    picked = [-1] * len(classes)  # index into names; -1 before the first try
+    conflicts = [set(p) for p in parents]
+    i = 0
+    while i < len(classes):
+        taken = banned[i] | {names[picked[j]] for j in parents[i]}
+        picked[i] = next((k for k in range(picked[i] + 1, len(names)) if names[k] not in taken), -1)
+        if picked[i] >= 0:
+            i += 1
+            continue
+        j = max(conflicts[i], default=-1)
+        if j < 0:
             return None
-    return assignment
+        conflicts[j] |= conflicts[i] - {j}
+        for m in range(j + 1, i + 1):
+            picked[m], conflicts[m] = -1, set(parents[m])
+        i = j
+    return {r: const(names[k]) for r, k in zip(classes, picked)}
 
 
 def _ground_names(plan: PartialPlan, assignment: dict[Term, Term], args: tuple[Term, ...]) -> tuple[str, ...]:

@@ -482,8 +482,8 @@ def test_criterion_9_bench_determinism():
     tasks = [(dom, p) for p in probs]
     strategies = [builtin(n) for n in ("UCPOP", "LCFR", "ZLIFO", "QLCFR")]
     config = SearchConfig(rank=parse_rank("S+OC"), node_limit=LIMIT, seed=7)
-    a_records, a_table = run_matrix(tasks, strategies, config, (NODE_KIND,))
-    b_records, b_table = run_matrix(tasks, strategies, config, (NODE_KIND,))
+    a_records, a_table = run_matrix(tasks, strategies, config)
+    b_records, b_table = run_matrix(tasks, strategies, config)
     nodes_equal = [r.nodes for r in a_records] == [r.nodes for r in b_records]
     bytes_equal = render_csv(a_records, a_table) == render_csv(b_records, b_table)
     report("9 determinism", nodes_equal and bytes_equal,

@@ -103,8 +103,8 @@ def test_failed_cells_use_nominal_limit_in_overruns():
         rec("bad", "p", status="node-limit", nodes=10007),
     ]
     table = build_overrun_table(records)
-    assert table.counts[("bad", "p")] == 10000
-    assert table.overruns[("bad", "p")] == 3900
+    assert table.minima == {"p": 250}
+    assert table.overruns[("bad", "p")] == 3900  # (10000 - 250) / 250, not 10007
 
 
 def test_second_worst():
@@ -128,26 +128,23 @@ def test_run_matrix_validation():
         run_matrix(tasks + tasks, [builtin("LCFR")], SearchConfig(node_limit=10))
     with pytest.raises(ValueError, match="strategy labels must be unique"):
         run_matrix(tasks, [builtin("LCFR"), builtin("lcfr")], SearchConfig(node_limit=10))
-    with pytest.raises(ValueError, match="node_limit"):
-        run_matrix(tasks, [builtin("LCFR")], SearchConfig(time_limit=1.0), limit_kinds=(NODE_KIND,))
-    with pytest.raises(ValueError, match="time_limit"):
-        run_matrix(tasks, [builtin("LCFR")], SearchConfig(node_limit=10), limit_kinds=(TIME_KIND,))
+    with pytest.raises(ValueError, match="neither node_limit nor time_limit"):
+        run_matrix(tasks, [builtin("LCFR")], SearchConfig())
 
 
-def small_matrix(jobs=1, kinds=(NODE_KIND,)):
+def small_matrix(jobs=1, time_limit=None, node_limit=10000):
     dom, probs = bundled("blocks")
     tasks = [(dom, probs[0]), (dom, probs[1])]
     strategies = [builtin("UCPOP"), builtin("LCFR")]
-    config = SearchConfig(node_limit=10000, time_limit=30.0, seed=0)
-    return run_matrix(tasks, strategies, config, kinds, jobs=jobs)
+    config = SearchConfig(node_limit=node_limit, time_limit=time_limit, seed=0)
+    return run_matrix(tasks, strategies, config, jobs=jobs)
 
 
 def test_run_matrix_records_and_table():
-    records, table = small_matrix(kinds=(NODE_KIND, TIME_KIND))
+    records, table = small_matrix(time_limit=30.0)
     assert len(records) == 8  # 2 strategies x 2 problems x 2 passes
-    assert [r.limit_kind for r in records] == sorted(
-        [NODE_KIND, TIME_KIND] * 4
-    ) or all(records[i] <= records[i + 1] for i in range(0))
+    assert [r.limit_kind for r in records] == [NODE_KIND, TIME_KIND] * 4
+    assert [r.limit_value for r in records] == [10000.0, 30.0] * 4
     keys = [(r.strategy, r.problem, r.limit_kind) for r in records]
     assert keys == sorted(keys)
     assert all(r.status == "solved" for r in records)
@@ -158,8 +155,21 @@ def test_run_matrix_records_and_table():
     assert table.minima == best
 
 
+def test_a_matrix_runs_only_the_passes_its_config_sets():
+    records, table = small_matrix()
+    assert [r.limit_kind for r in records] == [NODE_KIND] * 4
+    assert all(r.limit_value == 10000.0 for r in records)
+    assert set(table.minima) == {"sussman", "tower4"}
+
+    records, table = small_matrix(time_limit=30.0, node_limit=None)
+    assert [r.limit_kind for r in records] == [TIME_KIND] * 4
+    assert all(r.limit_value == 30.0 and r.status == "solved" for r in records)
+    # the table reads only the node pass, so a time-only matrix leaves it empty
+    assert table.minima == {} and table.overruns == {} and table.averages == {}
+
+
 def test_csv_shape_and_round_trip():
-    records, table = small_matrix(kinds=(NODE_KIND, TIME_KIND))
+    records, table = small_matrix(time_limit=30.0)
     text = render_csv(records, table)
     lines = text.split("\r\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -207,8 +217,8 @@ def test_searched_domains_pickle_and_run_in_workers():
     tasks = [(dom, probs[0]), (dom, probs[1])]
     strategies = [builtin("UCPOP"), builtin("LCFR")]
     config = SearchConfig(node_limit=2000, seed=0)
-    serial, _ = run_matrix(tasks, strategies, config, (NODE_KIND,), jobs=1)
-    parallel, _ = run_matrix(tasks, strategies, config, (NODE_KIND,), jobs=2)
+    serial, _ = run_matrix(tasks, strategies, config, jobs=1)
+    parallel, _ = run_matrix(tasks, strategies, config, jobs=2)
     assert [replace(r, seconds=0.0) for r in parallel] == [replace(r, seconds=0.0) for r in serial]
 
 

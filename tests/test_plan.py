@@ -1,7 +1,9 @@
 """Plan nodes: skeletal construction, orderings, linearization,
 validation, immutability, serialization."""
 
+import itertools
 import pickle
+import random
 
 import pytest
 
@@ -29,6 +31,7 @@ from poclab.plan import (
     OrderingStore,
     PartialPlan,
     Step,
+    ground_assignment,
     linearize,
     make_skeletal_plan,
     serialize,
@@ -154,6 +157,76 @@ def test_validate_rejects_plan_with_flaws():
     plan = make_skeletal_plan(MINI, prob)
     result = validate_solution(plan, MINI, prob)
     assert not result and "flaws" in result.message
+
+
+def _plan_over(variables, bindings):
+    """A flaw-free plan whose one library step takes `variables` as
+    parameters and has no preconditions or effects."""
+    steps = (
+        Step(START_ID, "start", (), (), ()),
+        Step(GOAL_ID, "goal", (), (), ()),
+        Step(2, "pair", tuple(variables), (), ()),
+    )
+    return PartialPlan(steps, (), OrderingStore.initial().with_step(2), bindings, ())
+
+
+def _kept_apart_from_b():
+    """?x != ?y and ?y != B: taking ?x first, the lowest name A leaves
+    ?y nothing among (A, B), yet {?x: B, ?y: A} grounds the store."""
+    x, y = var("?x", 0), var("?y", 1)
+    return x, y, _plan_over((x, y), EMPTY_STORE.require_distinct(x, y).require_distinct(y, const("B")))
+
+
+def test_grounding_backs_up_past_the_lowest_name():
+    x, y, plan = _kept_apart_from_b()
+    assert ground_assignment(plan, ("B", "A")) == {x: const("B"), y: const("A")}
+    assert ground_assignment(plan, ("A", "B", "C")) == {x: const("A"), y: const("C")}  # greedy's answer
+    assert ground_assignment(plan, ("B",)) is None
+
+
+def test_a_flaw_free_plan_that_only_backtracking_grounds_validates():
+    x, y, plan = _kept_apart_from_b()
+    dom = parse_domain("(define (domain pairs) (:predicates (p ?x)))")
+    prob = parse_problem("(define (problem two) (:domain pairs) (:objects A B) (:init) (:goal (and)))", dom)
+    result = validate_solution(plan, dom, prob)
+    assert result, result.message
+    assert result.assignment == {x: const("B"), y: const("A")}
+    assert result.grounded_variables == 2
+
+
+def _first_grounding(plan, names):
+    """The first consistent map in (class key, sorted name) order, by
+    trying every one."""
+    reps = {plan.bindings.find(t) for t in plan.steps[2].params}
+    classes = sorted((r for r in reps if r.is_variable), key=lambda t: t.key)
+    for combo in itertools.product(sorted(set(names)), repeat=len(classes)):
+        chosen = dict(zip(classes, combo))
+        if all(
+            (o.name if not o.is_variable else chosen[o]) != chosen[r]
+            for r in classes
+            for o in plan.bindings.neq_reps_of(r)
+        ):
+            return {r: const(n) for r, n in chosen.items()}
+    return None
+
+
+def test_grounding_equals_the_first_consistent_map_on_random_stores():
+    rng = random.Random(5)
+    solved = unsolved = 0
+    for _ in range(600):
+        variables = [var(f"?v{i}", i) for i in range(rng.randint(1, 6))]
+        store = EMPTY_STORE
+        for _ in range(rng.randint(0, 9)):
+            a = rng.choice(variables)
+            b = const(rng.choice("ABC")) if rng.random() < 0.3 else rng.choice(variables)
+            store = (store.merge(a, b) if rng.random() < 0.15 else store.require_distinct(a, b)) or store
+        plan = _plan_over(variables, store)
+        names = tuple("ABC"[: rng.randint(1, 3)])
+        got = ground_assignment(plan, names)
+        assert got == _first_grounding(plan, names), (store.describe(), names)
+        solved += got is not None
+        unsolved += got is None
+    assert solved > 100 and unsolved > 100
 
 
 def test_sussman_solution_validates_and_matches_oracle():
