@@ -201,8 +201,9 @@ def _cmd_bench(args) -> int:
         width = max(len(s) for s in table.averages)
         for s, avg in sorted(table.averages.items(), key=lambda kv: (kv[1], kv[0])):
             print(f"  {s:<{width}}  {format_pct(avg)}")
-    excluded = ", ".join(table.excluded) if table.excluded else "none"
-    print(f"problems unsolved by every strategy: {excluded}")
+    if config.node_limit is not None:
+        excluded = ", ".join(table.excluded) if table.excluded else "none"
+        print(f"problems unsolved by every strategy: {excluded}")
     return 0
 
 

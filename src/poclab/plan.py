@@ -281,8 +281,8 @@ def ground_assignment(plan: PartialPlan, constant_names: tuple[str, ...]) -> dic
     with the noncodesignation constraints; None when no such map exists.
     Depth-first over the classes in key order and the names in sorted
     order, so the answer is greedy's lowest-named one whenever greedy
-    succeeds.  A class with no constant left backs up to the latest
-    earlier class it conflicts with (graph-based backjumping)."""
+    succeeds.  A class with no constant left backs up to the class before
+    it (chronological backtracking)."""
     names = sorted(set(constant_names))
     reps = {plan.bindings.find(t) for t in _plan_variables(plan)}
     classes = sorted((r for r in reps if r.is_variable), key=lambda t: t.key)
@@ -291,21 +291,13 @@ def ground_assignment(plan: PartialPlan, constant_names: tuple[str, ...]) -> dic
     banned = [{o.name for o in others if not o.is_variable} for others in apart]
     parents = [{index[o] for o in others if index.get(o, i) < i} for i, others in enumerate(apart)]
     picked = [-1] * len(classes)  # index into names; -1 before the first try
-    conflicts = [set(p) for p in parents]
     i = 0
     while i < len(classes):
         taken = banned[i] | {names[picked[j]] for j in parents[i]}
         picked[i] = next((k for k in range(picked[i] + 1, len(names)) if names[k] not in taken), -1)
-        if picked[i] >= 0:
-            i += 1
-            continue
-        j = max(conflicts[i], default=-1)
-        if j < 0:
+        i += 1 if picked[i] >= 0 else -1
+        if i < 0:
             return None
-        conflicts[j] |= conflicts[i] - {j}
-        for m in range(j + 1, i + 1):
-            picked[m], conflicts[m] = -1, set(parents[m])
-        i = j
     return {r: const(names[k]) for r, k in zip(classes, picked)}
 
 

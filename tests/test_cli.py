@@ -134,6 +134,19 @@ def test_bench_to_file_and_summary(tmp_path, capsys):
     assert "problems unsolved by every strategy: none" in out
 
 
+
+def test_bench_time_only_summary_names_no_unsolved_problems(tmp_path, capsys):
+    # the unsolved list reads the node pass; a time-only run has none
+    code, out, err = run(
+        capsys,
+        "bench", "--bundled", "blocks", "--strategies", "LCFR",
+        "--time-limit", "30", "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    assert "wrote 3 records" in out
+    assert "unsolved by every strategy" not in out
+    assert "average %-overrun" not in out
+
 def test_bench_stdout_is_reproducible(capsys):
     args = (
         "bench", "--bundled", "blocks", "--strategies", "LCFR,ZLIFO",
