@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -193,6 +192,9 @@ def run_matrix(
     ]
 
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_cell, cells))
     else:

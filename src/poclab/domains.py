@@ -420,14 +420,16 @@ def parse(text: str, domain: Domain | None = None) -> Domain | Problem:
 def parse_domain(text: str) -> Domain:
     out = parse(text)
     if not isinstance(out, Domain):
-        raise ParseError("expected a domain, got a problem", 1, 1)
+        head = _read_all(text)[0].value[1]  # the (problem N) that parse read
+        raise ParseError("expected a domain, got a problem", head.line, head.col)
     return out
 
 
 def parse_problem(text: str, domain: Domain | None = None) -> Problem:
     out = parse(text, domain)
     if not isinstance(out, Problem):
-        raise ParseError("expected a problem, got a domain", 1, 1)
+        head = _read_all(text)[0].value[1]  # the (domain N) that parse read
+        raise ParseError("expected a problem, got a domain", head.line, head.col)
     return out
 
 

@@ -29,9 +29,9 @@ repair under any bindings; a separable threat always has a
 separation, and a nonseparable one has repairs if
 enumerate_threat_repairs finds promotion or demotion.  Any other open
 condition (in the bundled domains, one that no operator establishes)
-is enumerated to its first hit, trying the library before the initial
-state and never the plan's other steps, which are library instances;
-the full enumeration keeps the order init, reuse, new step.
+is enumerated to its first hit in the enumeration's order, init, then
+library, never trying the plan's other steps, which are library
+instances.
 An open condition is enumerated once per lineage and re-checked per
 delta: a refinement only adds constraints, so a child derives the
 condition's repairs from its parent's list (rederive_open_repairs).
@@ -300,19 +300,11 @@ def enumerate_open_repairs(
     init, reuse, new step, so that len(result) is the flaw's repair cost
     and the categories can feed new-step-preference tie-breaking.
 
-    With first=True, return as soon as one establishment is found,
-    trying the library before the initial state and never the plan's
-    other steps: every such step is a library instance, so its effect
-    unifies only if its schema does.  The library is tried first because
-    its index holds a few schemas per predicate, the start step every
-    initial literal."""
+    With first=True, return the first establishment in that order, never
+    trying the plan's other steps: every such step is a library
+    instance, so its effect unifies only if its schema does."""
     cond = flaw.literal
     store = plan.bindings
-    library = domain.establishers.get((cond.pred, cond.positive), ())
-    if first:
-        for op, i, eff in library:
-            if schema_effect_unifies(cond, eff, store):
-                return [Repair(NEW_STEP, -1, eff, op, i)]
     out: list[Repair] = []
 
     start = plan.steps[START_ID]
@@ -324,13 +316,16 @@ def enumerate_open_repairs(
                     return out
     elif _closed_world(cond, store, start):
         out.append(_CLOSED_WORLD)
-    if first:
-        return out
+        if first:
+            return out
 
-    _append_reuse(out, plan, flaw, GOAL_ID + 1)
-    for op, i, eff in library:
+    if not first:
+        _append_reuse(out, plan, flaw, GOAL_ID + 1)
+    for op, i, eff in domain.establishers.get((cond.pred, cond.positive), ()):
         if schema_effect_unifies(cond, eff, store):
             out.append(Repair(NEW_STEP, -1, eff, op, i))
+            if first:
+                return out
     return out
 
 

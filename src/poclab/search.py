@@ -205,11 +205,6 @@ def _with_cached_costs(plan: PartialPlan, flaws: tuple[Flaw, ...], domain: Domai
     ])
 
 
-# Builds a Delta without the named tuple's Python-level __new__: every
-# child that rebinds a term of its parent makes one.
-_new_delta = tuple.__new__
-
-
 def refinements(
     plan: PartialPlan,
     flaw: Flaw,
@@ -242,19 +237,16 @@ def refinements(
     children = []
     for repair in table.repairs(flaw):
         kind = repair.kind
-        if kind == PROMOTE:
-            orderings = plan.orderings.with_ordering(flaw.link.consumer, flaw.step)
-            children.append((PartialPlan(plan.steps, plan.links, orderings, old, rest), _UNBOUND[True, False]))
-            continue
-        if kind == DEMOTE:
-            orderings = plan.orderings.with_ordering(flaw.step, flaw.link.producer)
+        if kind == PROMOTE or kind == DEMOTE:
+            a, b = (flaw.link.consumer, flaw.step) if kind == PROMOTE else (flaw.step, flaw.link.producer)
+            orderings = plan.orderings.with_ordering(a, b)
             children.append((PartialPlan(plan.steps, plan.links, orderings, old, rest), _UNBOUND[True, False]))
             continue
         if kind == SEPARATE:
             a, b = repair.pair
             rep = old._rep.get
             bindings = old.require_distinct(a, b)
-            delta = _new_delta(Delta, (False, False, frozenset((rep(a, a), rep(b, b)))))
+            delta = Delta(False, False, frozenset((rep(a, a), rep(b, b))))
             children.append((PartialPlan(plan.steps, plan.links, plan.orderings, bindings, rest), delta))
             continue
 
@@ -294,7 +286,7 @@ def refinements(
             if bindings._neq is not old._neq:
                 rebound += [t for pair in bindings._neq - old._neq for t in pair]
             if rebound:
-                delta = _new_delta(Delta, (delta.reordered, delta.step_added, frozenset(rebound)))
+                delta = Delta(delta.reordered, delta.step_added, frozenset(rebound))
         children.append((child, delta))
     return children
 
@@ -351,7 +343,6 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
     if not strategy.reads_costs:
         config = replace(config, cost_mode="exact")  # no cached cost would be read
     cached = config.cost_mode == "cached" or strategy.cached_costs
-    cost_mode = "cached" if cached else "exact"
 
     ctx = SearchContext()
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions, ctx.stamps)
@@ -401,7 +392,7 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
                     stats.nodes_pruned += 1
                     continue
 
-        flaw = select_flaw(strategy, node, domain, rng, cost_mode, table)
+        flaw = select_flaw(strategy, node, domain, rng, config.cost_mode, table)
         stats.nodes_expanded += 1
         children = refinements(node, flaw, domain, config, ctx, table)
         if on_expand is not None:

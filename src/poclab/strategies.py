@@ -42,24 +42,21 @@ class StrategyError(ValueError):
 @dataclass(frozen=True)
 class Preference:
     types: tuple[str, ...]
-    lo: int = 0
-    hi: int | None = None  # None = unbounded
-    has_range: bool = False
+    costs: tuple[int, int | None] | None = None  # inclusive (lo, hi), hi None = unbounded; None = any cost
     tiebreak: str = "LIFO"
 
     def matches_cost(self, cost: int) -> bool:
-        if not self.has_range:
+        if self.costs is None:
             return True
-        return self.lo <= cost and (self.hi is None or cost <= self.hi)
+        lo, hi = self.costs
+        return lo <= cost and (hi is None or cost <= hi)
 
     def __str__(self) -> str:
         types = "{" + ",".join(self.types) + "}"
-        if not self.has_range:
+        if self.costs is None:
             return f"{types}{self.tiebreak}"
-        if self.hi == self.lo:
-            rng = str(self.lo)
-        else:
-            rng = f"{self.lo}-{self.hi if self.hi is not None else 'inf'}"
+        lo, hi = self.costs
+        rng = str(lo) if hi == lo else f"{lo}-{'inf' if hi is None else hi}"
         return f"{types}{rng} {self.tiebreak}"
 
 
@@ -75,7 +72,7 @@ class Strategy:
     @property
     def reads_costs(self) -> bool:
         """Does selection read repair costs or lists: a cost range, LC or New?"""
-        return any(p.has_range or p.tiebreak in ("LC", "New") for p in self.prefs)
+        return any(p.costs is not None or p.tiebreak in ("LC", "New") for p in self.prefs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +140,9 @@ def _parse_preference(cur: _Cursor) -> Preference:
             continue
         break
     cur.expect("}")
-    lo, hi, has_range = 0, None, False
+    costs = None
     if cur.peek() is not None and cur.peek().isdigit():
-        has_range = True
-        lo = int(cur.take())
-        hi = lo
+        lo = hi = int(cur.take())
         if cur.peek() == "-":
             cur.take()
             pos = cur.pos()
@@ -160,24 +155,21 @@ def _parse_preference(cur: _Cursor) -> Preference:
                 raise StrategyError(f"range upper bound must be an integer or inf, got {bound!r}", pos)
             if hi is not None and lo > hi:
                 raise StrategyError(f"empty cost range {lo}-{hi}", pos)
+        costs = (lo, hi)
     pos = cur.pos()
     word = cur.take()
     canonical = {t.lower(): t for t in TIEBREAKS}.get(word.lower())
     if canonical is None:
         raise StrategyError(f"unknown tie-breaker {word!r} (expected one of {', '.join(TIEBREAKS)})", pos)
-    pref = Preference(tuple(types), lo, hi, has_range, canonical)
-    if canonical == "New" and not (has_range and lo == 1 and hi == 1):
+    if canonical == "New" and costs != (1, 1):
         warnings.warn("'New' tie-breaking is only meaningful with cost range 1", stacklevel=4)
-    return pref
+    return Preference(tuple(types), costs, canonical)
 
 
 def exhaustiveness_witness(prefs: tuple[Preference, ...]) -> tuple[str, int] | None:
     """(flaw type, cost) matched by no preference, or None if covered."""
     for t in FLAW_TYPES:
-        intervals = sorted(
-            ((p.lo, p.hi) for p in prefs if t in p.types),
-            key=lambda iv: iv[0],
-        )
+        intervals = sorted((p.costs or (0, None) for p in prefs if t in p.types), key=lambda iv: iv[0])
         need: int | None = 0
         for lo, hi in intervals:
             if need is None:
@@ -351,7 +343,7 @@ def select_flaw(
     cost = table.cost
 
     for pref in strategy.prefs:
-        if pref.has_range:
+        if pref.costs is not None:
             matches = [f for f in plan.agenda if f.kind in pref.types and pref.matches_cost(cost(f, cached))]
         else:
             matches = [f for f in plan.agenda if f.kind in pref.types]

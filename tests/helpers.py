@@ -21,6 +21,16 @@ t, u, v = var("?t", 103), var("?u", 104), var("?v", 105)
 x, y, z = var("?x", 100), var("?y", 101), var("?z", 102)
 
 
+# One-component ablations of ZLIFO ({n}LIFO / {o}0 LIFO / {o}1 New /
+# {o}2-inf LIFO / {s}LIFO) that no builtin spells; the fourth, Z-noZero
+# (zero-cost-first removed), is DSep.
+ZLIFO_ABLATIONS = {
+    "Z-LC": "{n}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LC / {s}LIFO",
+    "Z-noNew": "{n}LIFO / {o}0 LIFO / {o}1 LIFO / {o}2-inf LIFO / {s}LIFO",
+    "Z-noDelay": "{n,s}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LIFO",
+}
+
+
 def forced_complementary(e, f, store):
     """Reference for the nonseparable-threat test: e and the negation of
     f carry the same predicate and every argument pair is already forced

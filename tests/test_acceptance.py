@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import oracle
-from helpers import plan_with, separable_threat_fixture
+from helpers import ZLIFO_ABLATIONS, plan_with, separable_threat_fixture
 from poclab.bench import (
     NODE_KIND,
     RunRecord,
@@ -521,3 +521,98 @@ def test_criterion_10_cached_cost_divergence():
     ok = exact == 1 and cached == insertion_cost
     report("10 cached-cost divergence", ok, f"insertion={insertion_cost}, exact-after-promotion={exact}, cached={cached}")
     assert ok
+
+
+# Nodes generated by the ZLIFO ablations that no builtin spells, at a
+# 10k-node limit, on the problems in all_tasks() order: sussman, tower4,
+# invert4, get-paid, get-paid-bc-at-work, tileworld-1 .. tileworld-4.
+ABLATION_COUNTS = {
+    ("Z-LC", "S+OC"): (42, 45, 136, 56, 358, 18, 709, 143, 541),
+    ("Z-noNew", "S+OC"): (78, 33, 79, 29, 155, 18, 80, 553, 1402),
+    ("Z-noDelay", "S+OC"): (78, 33, 79, 59, 10001, 70, 173, 4113, 10000),
+    ("Z-LC", "S+OC+UC"): (42, 45, 202, 139, 550, 18, 58, 272, 409),
+    ("Z-noNew", "S+OC+UC"): (52, 65, 84, 79, 225, 18, 76, 343, 10001),
+    ("Z-noDelay", "S+OC+UC"): (52, 65, 84, 3458, 322, 33, 78, 762, 10001),
+}
+# Table columns; Z-noZero (ZLIFO without zero-cost-first) is DSep.
+ATTRIBUTION_COLUMNS = ("ZLIFO", "Z-LC", "Z-noNew", "Z-noZero", "Z-noDelay", "LCFR-DSep", "LCFR")
+_BUILTIN_OF = {"Z-noZero": "DSep"}
+
+
+def _attribution_table(problems, cells, totals) -> str:
+    """Nodes generated per problem and column, `*` marking a hit limit,
+    and each column's total with such a cell counted as the limit."""
+    width = max(len(p) for p in problems)
+    rows = [f"{'problem':<{width}} " + " ".join(f"{c:>9}" for c in ATTRIBUTION_COLUMNS)]
+    for p in problems:
+        marked = [f"{n}{'' if solved else '*'}" for n, solved in (cells[c, p] for c in ATTRIBUTION_COLUMNS)]
+        rows.append(f"{p:<{width}} " + " ".join(f"{m:>9}" for m in marked))
+    rows.append(f"{'total':<{width}} " + " ".join(f"{totals[c]:>9}" for c in ATTRIBUTION_COLUMNS))
+    return "\n".join(rows)
+
+
+def test_criterion_11_zlifo_attribution():
+    """The abstract's attribution claim, by one-component ablations of
+    ZLIFO, at both ranks: much of the benefit ascribed to ZLIFO's LIFO
+    component is better attributed to other causes, and least-cost
+    selection with separable-threat delay (LCFR-DSep) is a good default.
+    Totals over the 9 bundled problems, a hit limit counted as 10000.
+    At each rank:
+
+    1. Removing zero-cost-first (Z-noZero, i.e. DSep) or the
+       separable-threat delay (Z-noDelay) raises ZLIFO's total.
+    2. LCFR-DSep's total is below ZLIFO's.
+    3. Replacing LIFO by LC for opens of cost 2 or more (Z-LC) keeps
+       more than half of ZLIFO's lead over Z-noZero.
+
+    Clause 3 is the reading chosen for "better attributed to other
+    causes": the lead over Z-noZero measures what zero-cost-first and
+    New buy, and a swap of LIFO that keeps most of it shows the benefit
+    was not LIFO's.  The plainer reading, that the swap moves the total
+    less than removing either other component does, holds at S+OC and
+    fails at S+OC+UC, where Z-LC cuts the total to 13% of ZLIFO's.
+
+    The DSL ablations are run and checked against ABLATION_COUNTS; the
+    builtins' counts are read from the benchmark's golden record, which
+    criterion 1 checks against the engine.  The problems where LCFR-DSep
+    loses to ZLIFO are printed; no cause is asserted.
+    """
+    golden = golden_cells()
+    tasks = list(all_tasks())
+    problems = [p.name for _, p in tasks]
+    t0 = time.time()
+    failures = []
+    for rank in RANKS:
+        config = SearchConfig(rank=parse_rank(rank), node_limit=LIMIT)
+        cells = {}  # (column, problem) -> (nodes generated, solved)
+        for column in ATTRIBUTION_COLUMNS:
+            if column in ZLIFO_ABLATIONS:
+                strategy = parse_strategy(ZLIFO_ABLATIONS[column], name=column)
+                for dom, prob in tasks:
+                    out = plan_search(dom, prob, strategy, config)
+                    cells[column, prob.name] = (out.stats.nodes_generated, out.solved)
+                got = tuple(cells[column, p][0] for p in problems)
+                if got != ABLATION_COUNTS[column, rank]:
+                    failures.append(f"{column} at {rank}: {got} != pinned {ABLATION_COUNTS[column, rank]}")
+            else:
+                for p in problems:
+                    cell = golden[f"{_BUILTIN_OF.get(column, column)}|{p}|{rank}"]
+                    cells[column, p] = (cell["generated"], cell["status"] == "solved")
+        totals = {c: sum(min(cells[c, p][0], LIMIT) for p in problems) for c in ATTRIBUTION_COLUMNS}
+        print(f"\ncriterion 11 at {rank} (nodes generated, 10k-node limit):\n"
+              + _attribution_table(problems, cells, totals))
+        zlifo, no_zero = totals["ZLIFO"], totals["Z-noZero"]
+        clauses = {
+            "1 no-zero and no-delay raise the total": no_zero > zlifo and totals["Z-noDelay"] > zlifo,
+            "2 LCFR-DSep below ZLIFO": totals["LCFR-DSep"] < zlifo,
+            "3 Z-LC keeps over half of the lead": 2 * (no_zero - totals["Z-LC"]) > no_zero - zlifo,
+        }
+        for clause, ok in clauses.items():
+            report(f"11 attribution at {rank}, clause {clause}", ok)
+            if not ok:
+                failures.append(f"{rank}: clause {clause}")
+        losses = [p for p in problems if cells["LCFR-DSep", p][0] > cells["ZLIFO", p][0]]
+        print(f"LCFR-DSep generates more nodes than ZLIFO at {rank} on: {', '.join(losses) or 'none'}")
+    elapsed = time.time() - t0
+    report("11 attribution", not failures, f"{elapsed:.1f}s")
+    assert not failures, failures

@@ -1,11 +1,16 @@
 """Benchmark harness: %-overrun math, matrices, CSV determinism."""
 
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import poclab
 from poclab.bench import (
     CSV_COLUMNS,
     NODE_KIND,
@@ -220,6 +225,17 @@ def test_searched_domains_pickle_and_run_in_workers():
     serial, _ = run_matrix(tasks, strategies, config, jobs=1)
     parallel, _ = run_matrix(tasks, strategies, config, jobs=2)
     assert [replace(r, seconds=0.0) for r in parallel] == [replace(r, seconds=0.0) for r in serial]
+
+
+def test_importing_poclab_loads_no_process_pool():
+    """Only a matrix with jobs > 1 imports the process pool."""
+    src = Path(poclab.__file__).resolve().parents[1]
+    probe = "import sys, poclab; print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_read_csv_rejects_bad_header():

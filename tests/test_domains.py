@@ -93,6 +93,19 @@ def test_problem_errors():
         parse_problem(base.replace("(:domain mini)", "(:domain other)"), d)
 
 
+@pytest.mark.parametrize(
+    "read,text,message,line,col",
+    [
+        (parse_domain, "; c\n\n  (define (problem p) (:domain d))", "expected a domain, got a problem", 3, 11),
+        (parse_problem, BLOCKS_TEXT, "expected a problem, got a domain", 3, 9),
+    ],
+)
+def test_a_wrong_kind_is_reported_at_its_head(read, text, message, line, col):
+    with pytest.raises(ParseError, match=message) as err:
+        read(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_arity_mismatch_names_predicate_and_position():
     d = parse_domain(BLOCKS_TEXT)
     text = "(define (problem p) (:domain mini) (:objects A)\n (:init (on A)) (:goal (and (clear A))))"

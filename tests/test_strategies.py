@@ -1,10 +1,11 @@
 """Strategy DSL parsing, builtins, and flaw selection semantics."""
 
 import random
+import warnings
 
 import pytest
 
-from helpers import plan_with
+from helpers import ZLIFO_ABLATIONS, plan_with
 from poclab.domains import bundled, parse_domain, parse_problem
 from poclab.flaws import enumerate_repairs
 from poclab.plan import Flaw, make_skeletal_plan
@@ -32,7 +33,7 @@ def test_parse_ucpop_shape():
     assert len(s.prefs) == 2
     assert s.prefs[0].types == ("n", "s")
     assert s.prefs[0].tiebreak == "LIFO"
-    assert not s.prefs[0].has_range
+    assert s.prefs[0].costs is None
     assert str(s) == "{n,s}LIFO / {o}LIFO"
 
 
@@ -44,19 +45,50 @@ def test_parse_single_preference_lcfr():
 
 def test_parse_ranges():
     s = parse_strategy("{n,s}0 LIFO / {n,s}1 LIFO / {o}LIFO / {n,s}2-inf LIFO")
-    assert [(p.lo, p.hi, p.has_range) for p in s.prefs] == [
-        (0, 0, True),
-        (1, 1, True),
-        (0, None, False),
-        (2, None, True),
-    ]
+    assert [p.costs for p in s.prefs] == [(0, 0), (1, 1), None, (2, None)]
     assert str(s) == "{n,s}0 LIFO / {n,s}1 LIFO / {o}LIFO / {n,s}2-inf LIFO"
 
 
-def test_parse_round_trips_builtins():
-    for name in builtin_names():
+# a range that admits every cost still prints its range, and reads costs
+ANY_COST = "{n,s}LIFO / {o}0-inf LIFO"
+ZERO, ONE, TWO_UP = (0, 0), (1, 1), (2, None)
+# each preference's cost range, and whether selection reads costs
+PREFERENCE_COSTS = {
+    "UCPOP": ([None, None], False),
+    "UCPOP-LC": ([None, None], True),
+    "DSep": ([None, None, None], False),
+    "DSep-LC": ([None, None, None], True),
+    "DSep-FIFO": ([None, None, None], False),
+    "DUnf": ([ZERO, ONE, None, TWO_UP], True),
+    "DUnf-LC": ([ZERO, ONE, None, TWO_UP], True),
+    "DUnf-FIFO": ([ZERO, ONE, None, TWO_UP], True),
+    "DUnf-Gen": ([ZERO, ONE, TWO_UP], True),
+    "LCFR": ([None], True),
+    "LCFR-DSep": ([None, None], True),
+    "ZLIFO": ([None, ZERO, ONE, TWO_UP, None], True),
+    "LIFO": ([None], False),
+    "QLCFR": ([None], True),
+    "Z-LC": ([None, ZERO, ONE, TWO_UP, None], True),
+    "Z-noNew": ([None, ZERO, ONE, TWO_UP, None], True),
+    "Z-noDelay": ([None, ZERO, ONE, TWO_UP], True),
+    ANY_COST: ([None, (0, None)], True),
+}
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), *ZLIFO_ABLATIONS, ANY_COST])
+def test_preferences_round_trip_with_their_costs(name):
+    if name in builtin_names():
         s = builtin(name)
-        assert parse_strategy(str(s)).prefs == s.prefs
+    else:
+        source = ZLIFO_ABLATIONS.get(name, name)
+        s = parse_strategy(source)
+        assert str(s) == source
+    text = str(s)
+    assert str(parse_strategy(text)) == text
+    assert parse_strategy(text).prefs == s.prefs
+    costs, reads = PREFERENCE_COSTS[name]
+    assert [p.costs for p in s.prefs] == costs
+    assert s.reads_costs is reads
 
 
 def test_non_exhaustive_rejected_with_witness():
@@ -99,14 +131,16 @@ def test_syntax_errors_have_positions(text, fragment):
     assert "column" in str(err.value)
 
 
-def test_new_tiebreak_warns_outside_cost_one():
-    with pytest.warns(UserWarning, match="New"):
-        parse_strategy("{o}New / {n,s}LIFO")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        parse_strategy("{n}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LIFO / {s}LIFO")
+@pytest.mark.parametrize(
+    "new_pref,warns",
+    [("{o}New", True), ("{o}0-1 New", True), ("{o}1-inf New", True), ("{o}1 New", False), ("{o}1-1 New", False)],
+)
+def test_new_tiebreak_warns_outside_cost_one(new_pref, warns):
+    text = f"{new_pref} / {{o}}LIFO / {{n,s}}LIFO"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_strategy(text)
+    assert [str(w.message) for w in caught] == ["'New' tie-breaking is only meaningful with cost range 1"] * warns
 
 
 # ---------------------------------------------------------------------------
