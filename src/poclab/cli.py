@@ -156,6 +156,7 @@ def _print_stats(stats: SearchStats):
     print(f"nodes expanded: {stats.nodes_expanded}")
     print(f"nodes pruned: {stats.nodes_pruned}")
     print(f"max frontier: {stats.max_frontier}")
+    print(f"children built: {stats.children_built}")
     print(f"wall seconds: {stats.wall_seconds:.3f}")
     print(f"grounded variables: {stats.grounded_variables}")
     print(f"seed: {stats.seed}")

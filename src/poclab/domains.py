@@ -373,6 +373,13 @@ def parse(text: str, domain: Domain | None = None) -> Domain | Problem:
     When `domain` is supplied, problems are validated against it
     (predicate declarations and arities); domains ignore the argument.
     """
+    return _parse(text, domain, None)
+
+
+def _parse(text: str, domain: Domain | None, want: str | None) -> Domain | Problem:
+    """parse(), but when `want` names the other kind ("domain" or
+    "problem") than the head's, reject the form at its head before
+    reading the body."""
     forms = _read_all(text)
     if len(forms) != 1:
         raise ParseError(
@@ -390,6 +397,8 @@ def parse(text: str, domain: Domain | None = None) -> Domain | Problem:
     if len(head) != 2 or not head[0].is_atom or not head[1].is_atom:
         raise ParseError("expected (domain N) or (problem N)", items[1].line, items[1].col)
     kind, name = head[0].value, head[1].value
+    if want is not None and kind != want and kind in ("domain", "problem"):
+        raise ParseError(f"expected a {want}, got a {kind}", items[1].line, items[1].col)
     if kind == "domain":
         predicates: dict[str, int] = {}
         operators: list[Operator] = []
@@ -418,19 +427,11 @@ def parse(text: str, domain: Domain | None = None) -> Domain | Problem:
 
 
 def parse_domain(text: str) -> Domain:
-    out = parse(text)
-    if not isinstance(out, Domain):
-        head = _read_all(text)[0].value[1]  # the (problem N) that parse read
-        raise ParseError("expected a domain, got a problem", head.line, head.col)
-    return out
+    return _parse(text, None, "domain")
 
 
 def parse_problem(text: str, domain: Domain | None = None) -> Problem:
-    out = parse(text, domain)
-    if not isinstance(out, Problem):
-        head = _read_all(text)[0].value[1]  # the (domain N) that parse read
-        raise ParseError("expected a problem, got a domain", head.line, head.col)
-    return out
+    return _parse(text, domain, "problem")
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ class Delta(NamedTuple):
     rebound: frozenset[Term]
 
 
-# Shared: every frontier entry holds its child's Delta, and most children
+# Shared: every built child's frontier entry holds its Delta, and most children
 # rebind no term of their parent.
 _UNBOUND = {(o, s): Delta(o, s, frozenset()) for o in (False, True) for s in (False, True)}
 
@@ -417,12 +417,21 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     return parent if out == parent else out
 
 
+def threat_ordering(flaw: Flaw, kind: str) -> tuple[int, int]:
+    """The (before, after) step pair that `kind`, PROMOTE or DEMOTE, orders
+    to repair the threat `flaw`: promotion puts the link's consumer
+    before the threatening step, demotion the step before the link's
+    producer."""
+    return (flaw.link.consumer, flaw.step) if kind == PROMOTE else (flaw.step, flaw.link.producer)
+
+
 def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
     """Promotion and demotion when consistent, read off orderings.succ:
     promotion unless the step already precedes the link's consumer,
     demotion unless the step is the link's producer (which can be
     ordered off neither side of its own link) or the producer already
-    precedes it.  For separable threats also one separation per argument
+    precedes it, which is with_ordering's answer to threat_ordering's
+    pair.  For separable threats also one separation per argument
     pair not already forced equal; pairs of the same two class
     representatives collapse to the first one's repair."""
     link = flaw.link

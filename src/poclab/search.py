@@ -1,22 +1,42 @@
 """Best-first plan-space search: node selection, refinement, pruning, limits.
 
 Node selection pops the minimum-rank plan (ties: most recently generated
-first).  Flaw selection is delegated to the strategy; all repairs of the
-selected flaw become children, each built in one pass by refinements(),
-which also adds the flaws a repair makes and, in cached-cost mode, costs
-them in the child.  A node any of whose flaws has repair cost zero is a
-dead end and is pruned before expansion (switchable).
-A frontier entry carries a child's rank, its tie-break, the child, its
-parent's open-condition repair lists (one dict, shared by all the
-children of one expansion) and the Delta that refinements() made with
-the child: whether the refinement reordered, whether it added a step,
-and which classes of the parent's terms it rebound.  When a child is
-popped, its agenda refresh re-tests only what the Delta says changed,
-and it re-checks the inherited lists (strategies.RepairTable) against
-the same Delta instead of enumerating the opens again; the
-dead-end probe reads them, and asks flaws.has_any_repair only of flaws
-with no inherited list, which answers most of those from the domain
-and the orderings.
+first).  Flaw selection is delegated to the strategy; every repair of
+the selected flaw makes one child, and refinements() is the one place a
+child is built, in one pass that also adds the flaws the repair makes
+and, in cached-cost mode, costs them in the child.  A node any of whose
+flaws has repair cost zero is a dead end and is pruned before expansion
+(switchable).
+Each child is counted (nodes_generated) and ranked when it is pushed,
+but built only when something reads it: at its pop, unless the rank
+weighs threats (a child's new threats are known only once it is built)
+or an observer has an on_enqueue or on_expand hook, which read the
+children of each expansion; then every child is built at push.  Under a
+rank that gives threats no weight, a child's rank needs only its step
+and open-condition counts, and both follow from its parent and its
+repair: a new step adds one step and one open condition per
+precondition, the repaired open condition goes, and no refresh drops an
+open condition.  So a child that is never popped is never built.
+Fresh variable ids and flaw stamps are drawn when a child is built, so
+a child built at its pop numbers its new variables and flaws later than
+at push; but they are still larger than every id and stamp of its
+parent, so the relative order within every plan, which is all that
+LIFO/FIFO, the union kernel's lowest-(vid, name) leader and
+plan.ground_assignment's class order read, is the same, and so are
+every node count and every solution.
+A frontier entry carries a rank, its tie-break, a plan, its parent's
+open-condition repair lists (one dict, shared by all the children of
+one expansion) and one of two pairs: (None, the Delta that
+refinements() made with the child) when the plan is a built child, or
+(the parent's selected flaw, the repair to apply) when the plan is the
+parent, whose pop builds the child.  The Delta says whether the
+refinement reordered, whether it added a step, and which classes of the
+parent's terms it rebound.  When a child is popped, its agenda refresh
+re-tests only what the Delta says changed, and it re-checks the
+inherited lists (strategies.RepairTable) against the same Delta instead
+of enumerating the opens again; the dead-end probe reads them, and asks
+flaws.has_any_repair only of flaws with no inherited list, which
+answers most of those from the domain and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
@@ -36,6 +56,7 @@ import heapq
 import random
 import re
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count
@@ -48,13 +69,16 @@ from .flaws import (
     SEPARATE,
     _UNBOUND,
     Delta,
+    Repair,
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
     refresh_agenda,
+    threat_ordering,
 )
 from .plan import (
     NONSEPARABLE,
+    OPEN,
     CausalLink,
     Flaw,
     PartialPlan,
@@ -167,6 +191,7 @@ class SearchStats:
     wall_seconds: float = 0.0
     seed: int = 0
     grounded_variables: int = 0
+    children_built: int = 0  # children refinements() built, at push or at pop
 
 
 @dataclass(frozen=True)
@@ -211,35 +236,36 @@ def refinements(
     domain: Domain,
     config: SearchConfig | None = None,
     ctx: SearchContext | None = None,
-    table: RepairTable | None = None,
+    repairs: Sequence[Repair] | None = None,
 ) -> list[tuple[PartialPlan, Delta]]:
-    """One (child, Delta) pair per repair of `flaw` (assumed refreshed) in
-    `table`, or in a fresh one: the only place a child plan is built.  A
-    threat repair adds one ordering or one disequality; its Delta only
-    reorders, or rebinds the parent representatives of the separated
-    pair.  An establishment links its producer (the start step, a reused
-    step, or a new step whose preconditions become open conditions) to
-    the flaw's step and adds the threats it makes; in cached-cost mode
-    its new flaws are costed in the child, which is built again only if
-    it gains threats or costs.  Its Delta rebinds the child's
-    representative of each term of the linked condition, and of an init
-    or reuse effect, whose representative changed (a new step's effect
-    holds no term of the parent but constants, which lead their
-    classes), and both ends of every disequality the parent lacks."""
+    """One (child, Delta) pair per repair of `flaw` (assumed refreshed)
+    in `repairs`, by default every one: the only place a child plan is
+    built.  A threat repair adds one ordering or one disequality; its
+    Delta only reorders, or rebinds the parent representatives of the
+    separated pair.  An establishment links its producer (the start
+    step, a reused step, or a new step whose preconditions become open
+    conditions) to the flaw's step and adds the threats it makes; in
+    cached-cost mode its new flaws are costed in the child, which is
+    built again only if it gains threats or costs.  Its Delta rebinds
+    the child's representative of each term of the linked condition,
+    and of an init or reuse effect, whose representative changed (a new
+    step's effect holds no term of the parent but constants, which lead
+    their classes), and both ends of every disequality the parent
+    lacks."""
     config = config or SearchConfig()
     ctx = ctx or SearchContext.resuming(plan)
-    table = table or RepairTable(plan, domain)
+    if repairs is None:
+        repairs = enumerate_repairs(plan, flaw, domain)
     cached = config.cost_mode == "cached"
     rest = tuple([f for f in plan.agenda if f is not flaw])
     if len(rest) == len(plan.agenda):
         raise ValueError("selected flaw is not on the agenda")
     old = plan.bindings
     children = []
-    for repair in table.repairs(flaw):
+    for repair in repairs:
         kind = repair.kind
         if kind == PROMOTE or kind == DEMOTE:
-            a, b = (flaw.link.consumer, flaw.step) if kind == PROMOTE else (flaw.step, flaw.link.producer)
-            orderings = plan.orderings.with_ordering(a, b)
+            orderings = plan.orderings.with_ordering(*threat_ordering(flaw, kind))
             children.append((PartialPlan(plan.steps, plan.links, orderings, old, rest), _UNBOUND[True, False]))
             continue
         if kind == SEPARATE:
@@ -305,8 +331,8 @@ def _assignable(threats: list[Flaw], i: int, orderings) -> bool:
     if i == len(threats):
         return True
     f = threats[i]
-    for a, b in ((f.link.consumer, f.step), (f.step, f.link.producer)):
-        nxt = orderings.with_ordering(a, b)
+    for kind in (PROMOTE, DEMOTE):
+        nxt = orderings.with_ordering(*threat_ordering(f, kind))
         if nxt is not None and _assignable(threats, i + 1, nxt):
             return True
     return False
@@ -350,15 +376,19 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
     # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
-    #  its parent's open-condition lists, the Delta from its parent).  The
-    # root has no parent, and every flaw on its agenda was found against
-    # its own stores, so its Delta re-tests nothing.
-    frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, _UNBOUND[False, False])]
+    #  its parent's open-condition lists, then None and the Delta from its
+    #  parent, or, while the plan is the parent, its selected flaw and the
+    #  repair to apply).  The root has no parent, and every flaw on its
+    #  agenda was found against its own stores, so its Delta re-tests
+    #  nothing.
+    frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None, _UNBOUND[False, False])]
     stats.max_frontier = 1
     on_enqueue = getattr(observer, "on_enqueue", None)
     on_expand = getattr(observer, "on_expand", None)
     if on_enqueue is not None:
         on_enqueue(root)
+    w_steps, w_open = config.rank.w_steps, config.rank.w_open
+    build_at_pop = config.rank.w_threats == 0 and on_enqueue is None and on_expand is None
 
     def finish(status: str, solution: PartialPlan | None) -> SearchOutcome:
         stats.wall_seconds = time.monotonic() - t0
@@ -372,7 +402,10 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         return finish(SOLVED, node)
 
     while frontier:
-        _, _, node, lists, delta = heapq.heappop(frontier)
+        _, _, node, lists, flaw, delta = heapq.heappop(frontier)
+        if flaw is not None:  # `node` is the parent and `delta` the repair
+            ((node, delta),) = refinements(node, flaw, domain, config, ctx, (delta,))
+            stats.children_built += 1
         node = refresh_agenda(node, delta)
         if not node.agenda:
             return solved(node)
@@ -394,15 +427,27 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
 
         flaw = select_flaw(strategy, node, domain, rng, config.cost_mode, table)
         stats.nodes_expanded += 1
-        children = refinements(node, flaw, domain, config, ctx, table)
-        if on_expand is not None:
-            on_expand(node, flaw, [child for child, _ in children])
         lists = table.open_lists(flaw)
-        for child, delta in children:
-            stats.nodes_generated += 1
-            heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, lists, delta))
-            if on_enqueue is not None:
-                on_enqueue(child)
+        repairs = table.repairs(flaw)
+        if build_at_pop:
+            # the child's rank from the parent's counts and the repair
+            base = w_steps * node.n_steps + w_open * (node.n_open - (flaw.kind == OPEN))
+            for repair in repairs:
+                r = base
+                if repair.kind == NEW_STEP:
+                    r += w_steps + w_open * len(repair.operator.template.preconds)
+                stats.nodes_generated += 1
+                heapq.heappush(frontier, (r, -stats.nodes_generated, node, lists, flaw, repair))
+        else:
+            children = refinements(node, flaw, domain, config, ctx, repairs)
+            stats.children_built += len(children)
+            if on_expand is not None:
+                on_expand(node, flaw, [child for child, _ in children])
+            for child, delta in children:
+                stats.nodes_generated += 1
+                heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, lists, None, delta))
+                if on_enqueue is not None:
+                    on_enqueue(child)
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 

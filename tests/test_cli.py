@@ -23,6 +23,7 @@ def test_plan_bundled_blocks_lcfr(capsys):
     assert "solution (3 steps):" in out
     assert "move-to-table(C A)" in out
     assert "nodes generated:" in out
+    assert "children built:" in out
 
 
 def test_plan_failure_exit_code(capsys):

@@ -98,6 +98,9 @@ def test_problem_errors():
     [
         (parse_domain, "; c\n\n  (define (problem p) (:domain d))", "expected a domain, got a problem", 3, 11),
         (parse_problem, BLOCKS_TEXT, "expected a problem, got a domain", 3, 9),
+        # a body that also holds an error: the head's kind is checked first
+        (parse_domain, "(define (problem p) (:domain d) (:foo))", "expected a domain, got a problem", 1, 9),
+        (parse_problem, "(define (domain d) (:foo))", "expected a problem, got a domain", 1, 9),
     ],
 )
 def test_a_wrong_kind_is_reported_at_its_head(read, text, message, line, col):

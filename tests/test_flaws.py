@@ -28,6 +28,7 @@ from poclab.flaws import (
     rederive_open_repairs,
     refresh_agenda,
     refresh_flaw,
+    threat_ordering,
 )
 from poclab.plan import (
     GOAL_ID,
@@ -126,6 +127,31 @@ def test_nonseparable_repair_counts():
     plan, flaw = ground_fixture(((4, 3), (2, 4)))  # strictly inside the span
     assert enumerate_threat_repairs(plan, flaw) == []
     assert not has_any_repair(plan, flaw, bundled("blocks")[0])
+
+
+@pytest.mark.parametrize("domain, problem", [("blocks", "invert4"), ("tileworld", "tileworld-3")])
+def test_threat_ordering_is_the_pair_the_enumeration_tests(domain, problem):
+    """enumerate_threat_repairs reads promotion and demotion off the
+    ordering bits; on every threat of every expanded node it offers
+    each one iff with_ordering accepts threat_ordering's pair for it,
+    the pair refinement and the dmin test order."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    seen = Counter()
+
+    class Check:
+        def on_expand(self, node, flaw, children):
+            for f in node.agenda:
+                if f.kind == OPEN:
+                    continue
+                offered = {r.kind for r in enumerate_threat_repairs(node, f)}
+                for kind in (PROMOTE, DEMOTE):
+                    accepted = node.orderings.with_ordering(*threat_ordering(f, kind)) is not None
+                    assert (kind in offered) == accepted, f"{kind} of {f.describe()}"
+                    seen[kind, accepted] += 1
+
+    plan_search(dom, prob, builtin("UCPOP"), SearchConfig(node_limit=2000, systematic=True), Check())
+    assert all(seen[kind, accepted] for kind in (PROMOTE, DEMOTE) for accepted in (False, True)), seen
 
 
 def test_a_producer_threatens_its_negative_link_only_by_adding():

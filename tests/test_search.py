@@ -37,6 +37,7 @@ from poclab.plan import (
     OrderingStore,
     PartialPlan,
     Step,
+    format_solution,
     instantiate_step,
     make_skeletal_plan,
     serialize,
@@ -331,19 +332,24 @@ def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain
     assert exercised is None or calls
 
 
-def test_every_traced_search_name_is_still_called(monkeypatch):
+@pytest.mark.parametrize("rank_text, built_at", [("S+OC", "pop"), ("S+OC+UC", "push")])
+def test_every_traced_search_name_is_still_called(monkeypatch, rank_text, built_at):
     """perfbench/tracing.py times the search by wrapping the names its
     TARGETS list in this module's namespace, and splits the repair
     enumerations by the span they are called from, so each name must
     still be called through that namespace, from where the tracer
-    expects.  LCFR on tileworld-2 with cached costs, the dmin test and
-    systematic threats reaches every one; dmin_feasible is the rarest."""
+    expects, whether a child is built at its pop (S+OC, one repair per
+    refinements call) or at its push (S+OC+UC).  LCFR on invert4 with
+    cached costs, the dmin test and systematic threats reaches every
+    one under both ranks; dmin_feasible is the rarest."""
     names = [attr for owner, attr, _, _ in TARGETS if owner is search and attr != "plan_search"]
     stack = ["plan_search"]
     edges = set()  # (caller, callee) among the wrapped names
+    calls = Counter()
 
     def traced(attr, fn):
         def wrapper(*args, **kwargs):
+            calls[attr] += 1
             edges.add((stack[-1], attr))
             stack.append(attr)
             try:
@@ -354,12 +360,17 @@ def test_every_traced_search_name_is_still_called(monkeypatch):
 
     for attr in names:
         monkeypatch.setattr(search, attr, traced(attr, getattr(search, attr)))
-    dom, probs = bundled("tileworld")
-    prob = next(p for p in probs if p.name == "tileworld-2")
-    config = SearchConfig(node_limit=10000, cost_mode="cached", dmin_check=True, systematic=True)
-    assert plan_search(dom, prob, builtin("LCFR"), config).solved
+    dom, probs = bundled("blocks")
+    prob = next(p for p in probs if p.name == "invert4")
+    config = SearchConfig(
+        rank=parse_rank(rank_text), node_limit=10000, cost_mode="cached", dmin_check=True, systematic=True
+    )
+    out = plan_search(dom, prob, builtin("LCFR"), config)
+    assert out.solved
     called = {callee for _, callee in edges}
     assert called == set(names), f"never called: {set(names) - called}"
+    # a child built at its pop is ranked without being built, so only the root is ranked by rank()
+    assert calls["rank"] == (1 if built_at == "pop" else out.stats.nodes_generated)
     assert {("refinements", "unify"), ("refinements", "detect_new_threats"),
             ("refinements", "_with_cached_costs"), ("_with_cached_costs", "enumerate_repairs")} <= edges
 
@@ -394,15 +405,19 @@ def deltas_checked():
     orderings and the step, and rebinds a subset of the diff's
     representatives.  A representative only the diff has leads a class
     that gained only the new step's fresh parameters: no term of the
-    parent changed class.  Yields a count of the children whose delta is
+    parent changed class.  Each built child is checked against the
+    repair it was built from: the one repair a child built at its pop
+    is given, or each of the flaw's repairs when all are built at once.
+    Yields a count of the children built and of those whose delta is
     narrower than the diff."""
     log = Counter()
     refine = search.refinements
 
-    def checked(plan, flaw, domain, *args):
-        out = refine(plan, flaw, domain, *args)
-        repairs = flaws.enumerate_repairs(plan, flaw, domain)
-        for repair, (child, got) in zip(repairs, out, strict=True):
+    def checked(plan, flaw, domain, config=None, ctx=None, repairs=None):
+        out = refine(plan, flaw, domain, config, ctx, repairs)
+        applied = flaws.enumerate_repairs(plan, flaw, domain) if repairs is None else repairs
+        log["built"] += len(out)
+        for repair, (child, got) in zip(applied, out, strict=True):
             want = store_diff_delta(plan, child)
             assert got[:2] == want[:2] and got.rebound <= want.rebound, (
                 f"{repair.describe()} of {flaw.describe()}: delta {got}, store diff {want}"
@@ -435,8 +450,8 @@ def test_rederived_repairs_equal_a_fresh_enumeration(name, domain, problem):
     prob = next(p for p in probs if p.name == problem)
     strategy = builtin(name)
     with rederivations_checked(dom) as log, deltas_checked() as deltas:
-        plan_search(dom, prob, strategy, SearchConfig(node_limit=1000))
-    assert deltas["narrower"]
+        out = plan_search(dom, prob, strategy, SearchConfig(node_limit=1000))
+    assert deltas["narrower"] and deltas["built"] == out.stats.children_built
     assert bool(log) == strategy.reads_costs
 
 
@@ -451,8 +466,8 @@ def test_rederived_repairs_equal_a_fresh_enumeration_under_sweep_toggled_toggles
     prob = next(p for p in probs if p.name == problem)
     config = SearchConfig(node_limit=1000, cost_mode="cached", dmin_check=True, systematic=True)
     with rederivations_checked(dom), deltas_checked() as deltas:
-        plan_search(dom, prob, builtin(name), config)
-    assert deltas["narrower"]
+        out = plan_search(dom, prob, builtin(name), config)
+    assert deltas["narrower"] and deltas["built"] == out.stats.children_built
 
 
 # A new step that establishes a 0-ary condition leaves the bindings as
@@ -739,20 +754,30 @@ def test_the_probe_never_scans_for_a_condition_a_new_step_always_establishes(mon
     assert not set(scanned) & dom.always_establishable
 
 
-def test_frontier_entries_carry_lists_not_plans(monkeypatch):
-    """A frontier entry is (rank, tie, child, the parent's lists, the
-    child's Delta).  What it carries for its child holds no plan,
-    binding store or ordering store, and a list that no delta changed
-    is the parent's own list object."""
+@pytest.mark.parametrize("rank_text, built", [("S+OC", False), ("S+OC+UC", True)])
+def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
+    """A frontier entry is (rank, tie, plan, the parent's lists, then
+    None and the child's Delta when the plan is the built child, or the
+    selected flaw and the repair when the plan is the parent).  Under
+    S+OC no child is built before its pop; under S+OC+UC every child
+    is.  What an entry carries besides its plan holds no plan, binding
+    store or ordering store, and a list that no delta changed is the
+    parent's own list object."""
     dom, probs = bundled("tileworld")
     prob = next(p for p in probs if p.name == "tileworld-2")
     carried = {}
+    shapes = Counter()
 
     def push(heap, entry):
-        assert len(entry) == 5
+        assert len(entry) == 6
         assert entry[3] is None or isinstance(entry[3], dict)
-        assert isinstance(entry[4], Delta)
-        for part in entry[3:]:  # the parent's lists and the refinement delta
+        if entry[4] is None:
+            assert isinstance(entry[5], Delta)
+        else:
+            assert isinstance(entry[4], Flaw) and isinstance(entry[5], flaws.Repair)
+            assert entry[4] in entry[2].agenda  # the plan is the parent
+        shapes[entry[4] is None] += 1
+        for part in entry[3:]:  # the parent's lists, and the delta or the flaw and repair
             if part is not None:
                 carried[id(part)] = part
         heapq.heappush(heap, entry)
@@ -769,8 +794,10 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch):
         return got
 
     monkeypatch.setattr(strategies, "rederive_open_repairs", derive_checked)
-    assert plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=1000)).solved
+    config = SearchConfig(rank=parse_rank(rank_text), node_limit=1000)
+    assert plan_search(dom, prob, builtin("LCFR"), config).solved
     assert carried and unchanged
+    assert set(shapes) == {built}
     forbidden = (PartialPlan, BindingStore, OrderingStore)
     seen, stack = set(), list(carried.values())
     while stack:
@@ -780,6 +807,80 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch):
         seen.add(id(obj))
         assert not isinstance(obj, forbidden), f"a frontier entry holds a {type(obj).__name__}"
         stack.extend(gc.get_referents(obj))
+
+
+class _Enqueued:
+    """An observer whose no-op on_enqueue hook makes the search build
+    every child when it is pushed."""
+
+    def on_enqueue(self, plan):
+        pass
+
+
+@contextmanager
+def pops_checked(w):
+    """While active, the rank each popped entry was pushed with must be
+    `rank(child, w)` of the plan the pop goes on to refresh: the child,
+    whether it was built at push or by the pop.  Yields a count of the
+    pops."""
+    log = Counter()
+    pop, refresh = heapq.heappop, search.refresh_agenda
+    pushed = []
+
+    def heappop(heap):
+        entry = pop(heap)
+        pushed.append(entry[0])
+        log["pops"] += 1
+        return entry
+
+    def refresh_checked(plan, delta=None):
+        assert rank(plan, w) == pushed.pop(), serialize(plan)
+        return refresh(plan, delta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        mp.setattr(search, "refresh_agenda", refresh_checked)
+        yield log
+
+
+def test_children_built_counts_each_build_once():
+    """Under S+OC+UC every generated child but the root is built, at
+    push; under S+OC with no observer a child is built by its pop, so
+    one is built per pop but the root's."""
+    dom, probs = bundled("blocks")
+    prob = next(p for p in probs if p.name == "invert4")
+    for name in ("UCPOP", "LCFR"):
+        out = plan_search(dom, prob, builtin(name), SearchConfig(rank=parse_rank("S+OC+UC"), node_limit=2000))
+        assert out.stats.children_built == out.stats.nodes_generated - 1
+        with pops_checked(parse_rank("S+OC")) as log:
+            out = plan_search(dom, prob, builtin(name), SearchConfig(rank=parse_rank("S+OC"), node_limit=2000))
+        assert out.stats.children_built == log["pops"] - 1 < out.stats.nodes_generated - 1
+
+
+def test_building_at_pop_searches_as_building_at_push():
+    """Every builtin on every bundled problem at S+OC, with no observer
+    (each child built at its pop) and with a no-op on_enqueue hook
+    (every child built at push): the same status, node counts, largest
+    frontier and solution, and each entry's push-time rank is the rank
+    of the child its pop refreshes."""
+    w = parse_rank("S+OC")
+    config = SearchConfig(rank=w, node_limit=2000)
+    built = Counter()
+    for domain in bundled_names():
+        dom, probs = bundled(domain)
+        for prob in probs:
+            for name in builtin_names():
+                runs = []
+                for observer in (None, _Enqueued()):
+                    with pops_checked(w):
+                        out = plan_search(dom, prob, builtin(name), config, observer)
+                    st = out.stats
+                    lines = format_solution(out.plan, dom, prob) if out.solved else None
+                    runs.append((out.status, st.nodes_generated, st.nodes_expanded, st.nodes_pruned,
+                                 st.max_frontier, lines))
+                    built[observer is None] += st.children_built
+                assert runs[0] == runs[1], f"{name} on {prob.name}"
+    assert built[True] < built[False]
 
 
 def test_only_strategies_that_read_costs_cache_them():
