@@ -4,7 +4,7 @@ Pluggable flaw-selection strategies over a generic refinement search,
 three bundled benchmark domains, and a node-count benchmark harness.
 """
 
-from .bench import OverrunTable, RunRecord, pct_overrun, run_matrix, second_worst
+from .bench import OverrunTable, RunRecord, pct_overrun, run_matrix
 from .domains import Domain, ParseError, Problem, bundled, parse_domain, parse_problem
 from .plan import PartialPlan, make_skeletal_plan, validate_solution
 from .search import SearchConfig, SearchOutcome, parse_rank, plan_search
@@ -31,7 +31,6 @@ __all__ = [
     "pct_overrun",
     "plan_search",
     "run_matrix",
-    "second_worst",
     "select_flaw",
     "validate_solution",
 ]

@@ -117,16 +117,6 @@ def build_overrun_table(records: Sequence[RunRecord]) -> OverrunTable:
     return OverrunTable(minima, overruns, averages, excluded)
 
 
-def second_worst(records: Sequence[RunRecord], problem: str) -> int:
-    """Second-largest effective node count on a problem (failures at
-    their nominal limit); the ceiling-effect report uses this."""
-    cells = [effective_count(r) for r in records if r.problem == problem and r.limit_kind == NODE_KIND]
-    if len(cells) < 2:
-        raise ValueError(f"need at least two runs of '{problem}', have {len(cells)}")
-    cells.sort(reverse=True)
-    return cells[1]
-
-
 # ---------------------------------------------------------------------------
 # matrix execution
 

@@ -90,7 +90,10 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
+    try:
+        return int(raw) if raw else 0
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _build_config(args) -> SearchConfig:

@@ -354,6 +354,8 @@ def _parse_problem(items: list[_Node], node: _Node, name: str, domain: Domain | 
                     _check_literal(l, n, preds, None)
                 init.append(_ground_literal(l, n, set(objects)))
         elif head == ":goal":
+            if len(body) > 2:
+                raise ParseError(":goal takes exactly one (and ...) form", body[2].line, body[2].col)
             for l, n in _read_literal_list(body[1] if len(body) > 1 else sec, ":goal"):
                 if preds is not None:
                     _check_literal(l, n, preds, None)
@@ -417,7 +419,10 @@ def _parse(text: str, domain: Domain | None, want: str | None) -> Domain | Probl
                         raise ParseError(f"predicate '{pname}' declared twice", p.line, p.col)
                     predicates[pname] = len(decl) - 1
             elif kw == ":operator":
-                operators.append(_parse_operator(body, sec, predicates))
+                op = _parse_operator(body, sec, predicates)
+                if any(o.name == op.name for o in operators):
+                    raise ParseError(f"operator '{op.name}' defined twice", sec.line, sec.col)
+                operators.append(op)
             else:
                 raise ParseError(f"unknown domain section '{kw}'", sec.line, sec.col)
         return Domain(name, predicates, tuple(operators))

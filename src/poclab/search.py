@@ -10,8 +10,8 @@ flaws has repair cost zero is a dead end and is pruned before expansion
 Each child is counted (nodes_generated) and ranked when it is pushed,
 but built only when something reads it: at its pop, unless the rank
 weighs threats (a child's new threats are known only once it is built)
-or an observer has an on_enqueue or on_expand hook, which read the
-children of each expansion; then every child is built at push.  Under a
+or an observer's on_expand hook (see plan_search) reads the children of
+each expansion; then every child is built at push.  Under a
 rank that gives threats no weight, a child's rank needs only its step
 and open-condition counts, and both follow from its parent and its
 repair: a new step adds one step and one open condition per
@@ -352,6 +352,13 @@ def plan_search(
     by a generator seeded from config.seed.  The cyclic garbage
     collector is paused while the search runs (see the module
     docstring) and left as the caller had it on any return or raise.
+
+    `observer`'s one hook, on_expand(node, flaw, children) if it has
+    one, is called at each expansion with the refreshed node, its
+    selected flaw and its built, unrefreshed children before their
+    push.  The root is the first node expanded, so the hook sees every
+    node generated unless the root solves or is pruned.  The hook makes
+    every child be built at push.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -375,20 +382,13 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
     if cached:
         root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
     stats.nodes_generated = 1
-    # (rank, -stats.nodes_generated at push so ties pop newest first, plan,
-    #  its parent's open-condition lists, then None and the Delta from its
-    #  parent, or, while the plan is the parent, its selected flaw and the
-    #  repair to apply).  The root has no parent, and every flaw on its
-    #  agenda was found against its own stores, so its Delta re-tests
-    #  nothing.
+    # the root has no parent, and every flaw on its agenda was found
+    # against its own stores, so its Delta re-tests nothing
     frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None, _UNBOUND[False, False])]
     stats.max_frontier = 1
-    on_enqueue = getattr(observer, "on_enqueue", None)
     on_expand = getattr(observer, "on_expand", None)
-    if on_enqueue is not None:
-        on_enqueue(root)
     w_steps, w_open = config.rank.w_steps, config.rank.w_open
-    build_at_pop = config.rank.w_threats == 0 and on_enqueue is None and on_expand is None
+    build_at_pop = config.rank.w_threats == 0 and on_expand is None
 
     def finish(status: str, solution: PartialPlan | None) -> SearchOutcome:
         stats.wall_seconds = time.monotonic() - t0
@@ -446,8 +446,6 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
             for child, delta in children:
                 stats.nodes_generated += 1
                 heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, lists, None, delta))
-                if on_enqueue is not None:
-                    on_enqueue(child)
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 

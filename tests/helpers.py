@@ -1,5 +1,5 @@
-"""Hand-built plan nodes, reference implementations and random-domain
-generators shared across test modules."""
+"""Hand-built plan nodes, reference implementations, random-domain
+generators and a search observer shared across test modules."""
 
 from hypothesis import strategies as st
 
@@ -29,6 +29,21 @@ ZLIFO_ABLATIONS = {
     "Z-noNew": "{n}LIFO / {o}0 LIFO / {o}1 LIFO / {o}2-inf LIFO / {s}LIFO",
     "Z-noDelay": "{n,s}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LIFO",
 }
+
+
+class EveryNode:
+    """Search observer that passes each node the search generates to
+    `self.visit`: the root, the first node expanded, and then the
+    children of each expansion."""
+
+    root_seen = False
+
+    def on_expand(self, node, flaw, children):
+        if not self.root_seen:
+            self.root_seen = True
+            self.visit(node)
+        for child in children:
+            self.visit(child)
 
 
 def forced_complementary(e, f, store):

@@ -23,7 +23,6 @@ from poclab.bench import (
     read_csv,
     render_csv,
     run_matrix,
-    second_worst,
 )
 from poclab.domains import bundled
 from poclab.search import SearchConfig, plan_search
@@ -110,18 +109,6 @@ def test_failed_cells_use_nominal_limit_in_overruns():
     table = build_overrun_table(records)
     assert table.minima == {"p": 250}
     assert table.overruns[("bad", "p")] == 3900  # (10000 - 250) / 250, not 10007
-
-
-def test_second_worst():
-    records = [
-        rec("a", "p", status="node-limit", nodes=10000),
-        rec("b", "p", nodes=4725),
-        rec("c", "p", nodes=300),
-    ]
-    assert second_worst(records, "p") == 4725
-    assert second_worst([rec("a", "q", nodes=5), rec("b", "q", nodes=5)], "q") == 5
-    with pytest.raises(ValueError):
-        second_worst([rec("a", "r")], "r")
 
 
 def test_run_matrix_validation():

@@ -121,6 +121,13 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert "seed: 3" in out
 
 
+def test_seed_env_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("POCL_SEED", "abc")
+    code, out, err = run(capsys, "plan", "--bundled", "blocks", "--builtin", "LCFR")
+    assert code == 2
+    assert err == "error: POCL_SEED must be an integer, got 'abc'\n"
+
+
 def test_bench_to_file_and_summary(tmp_path, capsys):
     out_path = tmp_path / "m.csv"
     code, out, err = run(

@@ -62,6 +62,8 @@ def test_precondition_order_preserved():
         (lambda t: t.replace("(on ?x ?y) (not", "(onn ?x ?y) (not"), "undeclared predicate"),
         (lambda t: t.replace(":parameters (?x ?y)", ":parameters (?x)"), "not in :parameters"),
         (lambda t: t.replace("(:predicates", "(:predicats"), "unknown domain section"),
+        (lambda t: t.replace("(:operator", "(:operator stack :parameters (?x) :precondition (and)"
+                             " :effect (and (clear ?x)))\n(:operator"), "operator 'stack' defined twice"),
         (lambda t: t + ")", "unmatched ')'"),
         (lambda t: t.replace("(define", "((define"), None),
     ],
@@ -91,6 +93,10 @@ def test_problem_errors():
         parse_problem(base.replace("(on A B)", "(on A ?x)"), d)
     with pytest.raises(ParseError, match="declares domain"):
         parse_problem(base.replace("(:domain mini)", "(:domain other)"), d)
+    # a goal form after the (and ...) is reported, not dropped
+    with pytest.raises(ParseError, match="exactly one") as err:
+        parse_problem(base.replace("(:goal (and (on A B)))", "(:goal (and (clear A))\n (on A B))"), d)
+    assert (err.value.line, err.value.col) == (2, 2)
 
 
 @pytest.mark.parametrize(

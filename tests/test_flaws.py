@@ -47,6 +47,7 @@ from poclab.search import SearchConfig, parse_rank, plan_search, refinements
 from poclab.strategies import RepairTable, builtin
 from poclab.terms import EMPTY_STORE, const, lit, unify, var
 from helpers import (
+    EveryNode,
     forced_complementary,
     plan_with,
     reference_threat_repairs,
@@ -532,8 +533,8 @@ def test_open_cost_can_increase_when_steps_arrive():
 def test_threat_cost_never_exceeds_two_for_nonseparable():
     dom, probs = bundled("blocks")
 
-    class Obs:
-        def on_enqueue(self, plan):
+    class Obs(EveryNode):
+        def visit(self, plan):
             for f in plan.agenda:
                 live = refresh_flaw(plan, f)
                 if live is not None and live.kind == NONSEPARABLE:

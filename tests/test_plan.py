@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracle
+from helpers import EveryNode
 from poclab.domains import bundled, parse_domain, parse_problem
 from poclab.flaws import (
     DEMOTE,
@@ -359,7 +360,7 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
 
-    class Obs:
+    class Obs(EveryNode):
         def __init__(self):
             self.checked = 0
             self.dead = 0
@@ -367,8 +368,9 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
 
         def on_expand(self, plan, flaw, children):
             self.kinds.update(r.kind for r in enumerate_repairs(plan, flaw, dom))
+            super().on_expand(plan, flaw, children)
 
-        def on_enqueue(self, plan):
+        def visit(self, plan):
             # step ids are dense, which n_steps relies on
             assert [s.id for s in plan.steps] == list(range(len(plan.steps)))
             self.checked += 1
@@ -400,8 +402,8 @@ def test_counter_consistency_along_search(domain, problem, strategy, rank, kinds
 def test_links_always_respect_orderings():
     dom, probs = bundled("blocks")
 
-    class Obs:
-        def on_enqueue(self, plan):
+    class Obs(EveryNode):
+        def visit(self, plan):
             for lk in plan.links:
                 assert plan.orderings.precedes(lk.producer, lk.consumer)
 

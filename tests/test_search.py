@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import (
+    EveryNode,
     instantiate_literal,
     plan_with,
     separable_threat_fixture,
@@ -809,11 +810,11 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
         stack.extend(gc.get_referents(obj))
 
 
-class _Enqueued:
-    """An observer whose no-op on_enqueue hook makes the search build
+class _Observer:
+    """An observer whose no-op on_expand hook makes the search build
     every child when it is pushed."""
 
-    def on_enqueue(self, plan):
+    def on_expand(self, node, flaw, children):
         pass
 
 
@@ -857,9 +858,30 @@ def test_children_built_counts_each_build_once():
         assert out.stats.children_built == log["pops"] - 1 < out.stats.nodes_generated - 1
 
 
+@pytest.mark.parametrize("rank_text", ["S+OC", "S+OC+UC"])
+def test_on_expand_is_passed_every_generated_node(rank_text):
+    """With an on_expand observer the root, as the first node expanded,
+    and the children passed to the hook are every node generated, and
+    each child is built once, at push."""
+
+    class Count(EveryNode):
+        seen = 0
+
+        def visit(self, plan):
+            self.seen += 1
+
+    dom, probs = bundled("blocks")
+    prob = next(p for p in probs if p.name == "invert4")
+    for name in ("UCPOP", "LCFR", "ZLIFO"):
+        obs = Count()
+        st = plan_search(dom, prob, builtin(name), SearchConfig(rank=parse_rank(rank_text), node_limit=2000), obs).stats
+        assert obs.seen == st.nodes_generated > 1, name
+        assert st.children_built == st.nodes_generated - 1, name
+
+
 def test_building_at_pop_searches_as_building_at_push():
     """Every builtin on every bundled problem at S+OC, with no observer
-    (each child built at its pop) and with a no-op on_enqueue hook
+    (each child built at its pop) and with a no-op on_expand hook
     (every child built at push): the same status, node counts, largest
     frontier and solution, and each entry's push-time rank is the rank
     of the child its pop refreshes."""
@@ -871,7 +893,7 @@ def test_building_at_pop_searches_as_building_at_push():
         for prob in probs:
             for name in builtin_names():
                 runs = []
-                for observer in (None, _Enqueued()):
+                for observer in (None, _Observer()):
                     with pops_checked(w):
                         out = plan_search(dom, prob, builtin(name), config, observer)
                     st = out.stats
@@ -891,8 +913,8 @@ def test_only_strategies_that_read_costs_cache_them():
     for name, costed in (("UCPOP", False), ("LCFR", True)):
         seen = set()
 
-        class Obs:
-            def on_enqueue(self, plan):
+        class Obs(EveryNode):
+            def visit(self, plan):
                 seen.update(f.cached_cost is not None for f in plan.agenda)
 
         config = SearchConfig(node_limit=10000, cost_mode="cached")
@@ -1129,12 +1151,12 @@ GROUND_PROBLEM = parse_problem(
 
 
 def test_systematic_mode_never_duplicates_nodes():
-    class Dedup:
+    class Dedup(EveryNode):
         def __init__(self):
             self.seen = {}
             self.duplicates = []
 
-        def on_enqueue(self, plan):
+        def visit(self, plan):
             key = serialize(plan)
             if key in self.seen:
                 self.duplicates.append(key)
@@ -1154,11 +1176,11 @@ def test_systematic_mode_never_duplicates_nodes():
 
 
 def test_systematic_mode_detects_same_sign_threats():
-    class CountSameSign:
+    class CountSameSign(EveryNode):
         def __init__(self):
             self.count = 0
 
-        def on_enqueue(self, plan):
+        def visit(self, plan):
             for f in plan.agenda:
                 if f.kind != OPEN and f.literal.positive == f.link.condition.positive:
                     self.count += 1
@@ -1196,8 +1218,8 @@ def test_every_builtin_solves_sussman():
 def test_builtin_qlcfr_caches_every_agenda_flaw_cost():
     dom, probs = bundled("blocks")
 
-    class Obs:
-        def on_enqueue(self, plan):
+    class Obs(EveryNode):
+        def visit(self, plan):
             for f in plan.agenda:
                 assert f.cached_cost is not None, f.describe()
 
