@@ -236,27 +236,3 @@ def render_csv(records: Sequence[RunRecord], table: OverrunTable) -> str:
         )
     return buf.getvalue()
 
-
-def read_csv(text: str) -> list[RunRecord]:
-    """Records back from CSV (the overrun column is derived, not read)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValueError("missing or unexpected CSV header")
-    out = []
-    for row in rows[1:]:
-        (strategy, problem, rank_label, kind, limit_value, status, nodes, seconds, seed, reverse, _) = row
-        out.append(
-            RunRecord(
-                strategy=strategy,
-                problem=problem,
-                rank_label=rank_label,
-                limit_kind=kind,
-                limit_value=float(limit_value),
-                status=status,
-                nodes=int(nodes),
-                seconds=float(seconds) if seconds else 0.0,
-                seed=int(seed),
-                reverse=reverse == "true",
-            )
-        )
-    return out

@@ -104,12 +104,6 @@ class Domain:
     predicates: dict[str, int] = field(default_factory=dict)  # name -> arity
     operators: tuple[Operator, ...] = ()
 
-    def operator(self, name: str) -> Operator:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(name)
-
     @cached_property
     def establishers(self) -> dict[tuple[str, bool], tuple[tuple[Operator, int, SchemaLiteral], ...]]:
         """(pred, polarity) -> every (operator, effect index, schema) whose
@@ -324,17 +318,80 @@ def _ground_literal(l: SchemaLiteral, node: _Node, objects: set[str] | None) -> 
     return Literal(l.positive, l.pred, tuple(args))
 
 
-def _parse_problem(items: list[_Node], node: _Node, name: str, domain: Domain | None) -> Problem:
+def _define(text: str, want: str) -> tuple[_Node, str, list[_Node]]:
+    """The one (define (<want> N) ...) form of `text`: its node, its name
+    N and its sections.  A form of the other kind is rejected at its
+    head, before its body is read."""
+    forms = _read_all(text)
+    if len(forms) != 1:
+        raise ParseError(
+            f"expected exactly one (define ...) form, found {len(forms)}",
+            forms[1].line if len(forms) > 1 else 1,
+            forms[1].col if len(forms) > 1 else 1,
+        )
+    node = forms[0]
+    items = _expect_form(node, "(define ...)")
+    if not items or items[0].is_atom is False or items[0].value != "define":
+        raise ParseError("top-level form must be (define ...)", node.line, node.col)
+    if len(items) < 2:
+        raise ParseError("(define ...) needs a (domain N) or (problem N) head", node.line, node.col)
+    head = _expect_form(items[1], "(domain N) or (problem N)")
+    if len(head) != 2 or not head[0].is_atom or not head[1].is_atom:
+        raise ParseError("expected (domain N) or (problem N)", items[1].line, items[1].col)
+    kind, name = head[0].value, head[1].value
+    if kind not in ("domain", "problem"):
+        raise ParseError(f"expected 'domain' or 'problem', got '{kind}'", items[1].line, items[1].col)
+    if kind != want:
+        raise ParseError(f"expected a {want}, got a {kind}", items[1].line, items[1].col)
+    return node, name, items[2:]
+
+
+def parse_domain(text: str) -> Domain:
+    _, name, sections = _define(text, "domain")
+    predicates: dict[str, int] = {}
+    operators: list[Operator] = []
+    for sec in sections:
+        body = _expect_form(sec, "a domain section")
+        if not body:
+            raise ParseError("empty section", sec.line, sec.col)
+        kw = _expect_atom(body[0], "a section keyword")
+        if kw == ":predicates":
+            for p in body[1:]:
+                decl = _expect_form(p, "a predicate declaration")
+                if not decl:
+                    raise ParseError("empty predicate declaration", p.line, p.col)
+                pname = _expect_atom(decl[0], "a predicate name")
+                if pname in predicates:
+                    raise ParseError(f"predicate '{pname}' declared twice", p.line, p.col)
+                predicates[pname] = len(decl) - 1
+        elif kw == ":operator":
+            op = _parse_operator(body, sec, predicates)
+            if any(o.name == op.name for o in operators):
+                raise ParseError(f"operator '{op.name}' defined twice", sec.line, sec.col)
+            operators.append(op)
+        else:
+            raise ParseError(f"unknown domain section '{kw}'", sec.line, sec.col)
+    return Domain(name, predicates, tuple(operators))
+
+
+def parse_problem(text: str, domain: Domain | None = None) -> Problem:
+    """When `domain` is supplied, the problem is validated against it
+    (its name, predicate declarations and arities)."""
+    node, name, sections = _define(text, "problem")
     domain_name: str | None = None
     objects: list[str] = []
     init: list[Literal] = []
     goal: list[Literal] = []
     preds = domain.predicates if domain is not None else None
-    for sec in items:
+    seen: set[str] = set()
+    for sec in sections:
         body = _expect_form(sec, "a problem section")
         if not body:
             raise ParseError("empty section", sec.line, sec.col)
         head = _expect_atom(body[0], "a section keyword")
+        if head in seen:
+            raise ParseError(f"duplicate {head}", body[0].line, body[0].col)
+        seen.add(head)
         if head == ":domain":
             domain_name = _expect_atom(body[1], "a domain name") if len(body) == 2 else None
             if domain_name is None:
@@ -367,105 +424,6 @@ def _parse_problem(items: list[_Node], node: _Node, name: str, domain: Domain | 
     if domain is not None and domain_name != domain.name:
         raise ParseError(f"problem declares domain '{domain_name}', expected '{domain.name}'", node.line, node.col)
     return Problem(name, domain_name, tuple(objects), tuple(init), tuple(goal))
-
-
-def parse(text: str, domain: Domain | None = None) -> Domain | Problem:
-    """Parse one (define ...) form into a Domain or a Problem.
-
-    When `domain` is supplied, problems are validated against it
-    (predicate declarations and arities); domains ignore the argument.
-    """
-    return _parse(text, domain, None)
-
-
-def _parse(text: str, domain: Domain | None, want: str | None) -> Domain | Problem:
-    """parse(), but when `want` names the other kind ("domain" or
-    "problem") than the head's, reject the form at its head before
-    reading the body."""
-    forms = _read_all(text)
-    if len(forms) != 1:
-        raise ParseError(
-            f"expected exactly one (define ...) form, found {len(forms)}",
-            forms[1].line if len(forms) > 1 else 1,
-            forms[1].col if len(forms) > 1 else 1,
-        )
-    node = forms[0]
-    items = _expect_form(node, "(define ...)")
-    if not items or items[0].is_atom is False or items[0].value != "define":
-        raise ParseError("top-level form must be (define ...)", node.line, node.col)
-    if len(items) < 2:
-        raise ParseError("(define ...) needs a (domain N) or (problem N) head", node.line, node.col)
-    head = _expect_form(items[1], "(domain N) or (problem N)")
-    if len(head) != 2 or not head[0].is_atom or not head[1].is_atom:
-        raise ParseError("expected (domain N) or (problem N)", items[1].line, items[1].col)
-    kind, name = head[0].value, head[1].value
-    if want is not None and kind != want and kind in ("domain", "problem"):
-        raise ParseError(f"expected a {want}, got a {kind}", items[1].line, items[1].col)
-    if kind == "domain":
-        predicates: dict[str, int] = {}
-        operators: list[Operator] = []
-        for sec in items[2:]:
-            body = _expect_form(sec, "a domain section")
-            if not body:
-                raise ParseError("empty section", sec.line, sec.col)
-            kw = _expect_atom(body[0], "a section keyword")
-            if kw == ":predicates":
-                for p in body[1:]:
-                    decl = _expect_form(p, "a predicate declaration")
-                    if not decl:
-                        raise ParseError("empty predicate declaration", p.line, p.col)
-                    pname = _expect_atom(decl[0], "a predicate name")
-                    if pname in predicates:
-                        raise ParseError(f"predicate '{pname}' declared twice", p.line, p.col)
-                    predicates[pname] = len(decl) - 1
-            elif kw == ":operator":
-                op = _parse_operator(body, sec, predicates)
-                if any(o.name == op.name for o in operators):
-                    raise ParseError(f"operator '{op.name}' defined twice", sec.line, sec.col)
-                operators.append(op)
-            else:
-                raise ParseError(f"unknown domain section '{kw}'", sec.line, sec.col)
-        return Domain(name, predicates, tuple(operators))
-    if kind == "problem":
-        return _parse_problem(items[2:], node, name, domain)
-    raise ParseError(f"expected 'domain' or 'problem', got '{kind}'", items[1].line, items[1].col)
-
-
-def parse_domain(text: str) -> Domain:
-    return _parse(text, None, "domain")
-
-
-def parse_problem(text: str, domain: Domain | None = None) -> Problem:
-    return _parse(text, domain, "problem")
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse)
-
-
-def format_domain(d: Domain) -> str:
-    lines = [f"(define (domain {d.name})"]
-    decls = " ".join(
-        f"({p}" + "".join(f" ?x{i}" for i in range(a)) + ")" for p, a in d.predicates.items()
-    )
-    lines.append(f"  (:predicates {decls})")
-    for op in d.operators:
-        lines.append(f"  (:operator {op.name}")
-        lines.append(f"    :parameters ({' '.join(op.params)})")
-        lines.append(f"    :precondition (and {' '.join(map(str, op.preconds))})".replace("(and )", "(and)"))
-        lines.append(f"    :effect (and {' '.join(map(str, op.effects))}))".replace("(and )", "(and)"))
-    return "\n".join(lines) + ")\n"
-
-
-def format_problem(p: Problem) -> str:
-    lines = [
-        f"(define (problem {p.name})",
-        f"  (:domain {p.domain_name})",
-        f"  (:objects {' '.join(p.objects)})",
-        f"  (:init {' '.join(str(l) for l in p.init)})",
-        f"  (:goal (and {' '.join(str(l) for l in p.goal)})))".replace("(and )", "(and)"),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

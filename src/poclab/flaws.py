@@ -86,17 +86,6 @@ class Repair(NamedTuple):
     effect_index: int = -1               # new-step: which distinct operator effect
     pair: tuple[Term, Term] | None = None  # separate: terms to force apart
 
-    def describe(self) -> str:
-        if self.kind == FROM_START:
-            return f"init<-{self.effect}" if self.effect else "init<-closed-world"
-        if self.kind == REUSE:
-            return f"reuse step {self.step} {self.effect}"
-        if self.kind == NEW_STEP:
-            return f"new {self.operator.name}[{self.effect_index}]"
-        if self.kind == SEPARATE:
-            return f"separate {self.pair[0]}!={self.pair[1]}"
-        return self.kind
-
 
 # Field-less repairs are shared: a Repair is immutable, and the probe
 # runs on every flaw of every popped node.

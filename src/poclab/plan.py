@@ -79,11 +79,6 @@ class Flaw(NamedTuple):
     inserted_at: int = 0
     cached_cost: int | None = None
 
-    def describe(self) -> str:
-        if self.kind == OPEN:
-            return f"o {self.literal} @{self.step}"
-        return f"{self.kind} {self.literal} step {self.step} vs link{self.link}"
-
 
 @dataclass(frozen=True, slots=True)
 class OrderingStore:
@@ -123,21 +118,12 @@ class OrderingStore:
                 succ[x] |= gained
         return OrderingStore(tuple(succ))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for a in range(len(self.succ)):
-            m = self.succ[a]
-            while m:
-                b = (m & -m).bit_length() - 1
-                out.append((a, b))
-                m &= m - 1
-        return out
-
 
 class PartialPlan(NamedTuple):
-    """One search node.  n_steps / n_open / n_threats, the S / OC / UC
-    ranking inputs (steps excluding the two dummies, agenda opens,
-    agenda threats), are computed from the parts, not maintained."""
+    """One search node.  n_steps and n_open, the S and OC ranking inputs
+    (steps excluding the two dummies, agenda opens), are computed from
+    the parts, not maintained; UC, the agenda's threats, is the rest of
+    the agenda."""
 
     steps: tuple[Step, ...]
     links: tuple[CausalLink, ...]
@@ -152,10 +138,6 @@ class PartialPlan(NamedTuple):
     @property
     def n_open(self) -> int:
         return [f.kind for f in self.agenda].count(OPEN)  # a C-level count over one list
-
-    @property
-    def n_threats(self) -> int:
-        return len(self.agenda) - self.n_open
 
 
 def instantiate_step(op: Operator, sid: int, vids: Iterator[int]) -> Step:
@@ -366,23 +348,3 @@ def format_solution(plan: PartialPlan, domain: Domain, problem: Problem) -> list
         lines.append(f"{st.name}({' '.join(args)})" if args else st.name)
     return lines
 
-
-# ---------------------------------------------------------------------------
-# debug serialization (deterministic; golden tests hash this)
-
-
-def serialize(plan: PartialPlan) -> str:
-    lines = ["steps:"]
-    for st in plan.steps:
-        lines.append(f"  {st.id} {st}")
-    lines.append("links:")
-    for lk in sorted(plan.links, key=lambda l: (l.producer, l.consumer, str(l.condition))):
-        lines.append(f"  {lk.producer} -> {lk.condition} -> {lk.consumer}")
-    lines.append("orderings:")
-    lines.append("  " + " ".join(f"{a}<{b}" for a, b in plan.orderings.pairs()))
-    lines.append("bindings:")
-    lines.append("  " + plan.bindings.describe())
-    lines.append("agenda:")
-    for f in plan.agenda:
-        lines.append(f"  {f.describe()}")
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ unification never needs an occurs check.  Stores are immutable values;
 every constraining operation returns a fresh extended store (or None on
 inconsistency) and never touches the original.  One union over class
 representatives (_union) decides whether two argument tuples can
-codesignate pairwise, for unify, merge, noncodesignating, threat
-classification and the unifiability tests alike.  Most calls compare a
+codesignate pairwise, for unify, merge, threat classification and the
+unifiability tests alike.  Most calls compare a
 single argument pair, which the kernel decides with two lookups and no
 batch bookkeeping.
 """
@@ -122,13 +122,6 @@ class BindingStore:
     def find(self, t: Term) -> Term:
         return self._rep.get(t, t)
 
-    def forced_equal(self, a: Term, b: Term) -> bool:
-        return self.find(a) == self.find(b)
-
-    def noncodesignating(self, a: Term, b: Term) -> bool:
-        """True when a and b can never codesignate under this store."""
-        return _union((a,), (b,), self) is None
-
     def merge(self, a: Term, b: Term) -> BindingStore | None:
         """Codesignate a and b; None if blocked by a constant clash or a
         noncodesignation constraint."""
@@ -169,33 +162,12 @@ class BindingStore:
             return self
         return BindingStore(self._rep, self._neq | {p})
 
-    def classes(self) -> list[tuple[Term, ...]]:
-        """Non-singleton classes, members sorted, classes sorted by head."""
-        groups: dict[Term, list[Term]] = {}
-        for t, r in self._rep.items():
-            groups.setdefault(r, []).append(t)
-        out = []
-        for r, members in groups.items():
-            cls = sorted(set(members) | {r}, key=lambda t: t.key)
-            if len(cls) > 1:
-                out.append(tuple(cls))
-        out.sort(key=lambda c: c[0].key)
-        return out
-
-    def neq_pairs(self) -> list[tuple[Term, Term]]:
-        return sorted(self._neq, key=lambda p: (p[0].key, p[1].key))
-
     def neq_reps_of(self, t: Term) -> list[Term]:
         """Representatives constrained apart from t's class, sorted."""
         r = self.find(t)
         out = [b if a == r else a for a, b in self._neq if r in (a, b)]
         out.sort(key=lambda x: x.key)
         return out
-
-    def describe(self) -> str:
-        cls = " ".join("{" + "=".join(map(str, c)) + "}" for c in self.classes())
-        neq = " ".join(f"{a}!={b}" for a, b in self.neq_pairs())
-        return f"classes: {cls or '-'} | neq: {neq or '-'}"
 
 
 EMPTY_STORE = BindingStore({}, frozenset())

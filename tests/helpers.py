@@ -1,5 +1,6 @@
 """Hand-built plan nodes, reference implementations, random-domain
-generators and a search observer shared across test modules."""
+generators, a search observer, a plan key and a domain printer shared
+across test modules."""
 
 from hypothesis import strategies as st
 
@@ -46,13 +47,57 @@ class EveryNode:
             self.visit(child)
 
 
+def plan_key(plan):
+    """A node's content as a hashable value, equal for two nodes that
+    differ only in their flaws' insertion stamps and cached costs or in
+    the order of their links: the steps, the links, the reachability
+    bits, the binding classes (each term mapped to its representative,
+    which a class's members decide) and disequalities, and the agenda's
+    flaws in order."""
+    return (
+        plan.steps,
+        tuple(sorted(plan.links, key=lambda l: (l.producer, l.consumer, str(l.condition)))),
+        plan.orderings.succ,
+        frozenset(plan.bindings._rep.items()),
+        plan.bindings._neq,
+        tuple((f.kind, f.step, f.literal, f.link) for f in plan.agenda),
+    )
+
+
+def format_domain(d):
+    """A domain as text that parse_domain reads back to an equal one."""
+    lines = [f"(define (domain {d.name})"]
+    decls = " ".join(
+        f"({p}" + "".join(f" ?x{i}" for i in range(a)) + ")" for p, a in d.predicates.items()
+    )
+    lines.append(f"  (:predicates {decls})")
+    for op in d.operators:
+        lines.append(f"  (:operator {op.name}")
+        lines.append(f"    :parameters ({' '.join(op.params)})")
+        lines.append(f"    :precondition (and {' '.join(map(str, op.preconds))})".replace("(and )", "(and)"))
+        lines.append(f"    :effect (and {' '.join(map(str, op.effects))}))".replace("(and )", "(and)"))
+    return "\n".join(lines) + ")\n"
+
+
+def format_problem(p):
+    """A problem as text that parse_problem reads back to an equal one."""
+    lines = [
+        f"(define (problem {p.name})",
+        f"  (:domain {p.domain_name})",
+        f"  (:objects {' '.join(p.objects)})",
+        f"  (:init {' '.join(str(l) for l in p.init)})",
+        f"  (:goal (and {' '.join(str(l) for l in p.goal)})))".replace("(and )", "(and)"),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def forced_complementary(e, f, store):
     """Reference for the nonseparable-threat test: e and the negation of
     f carry the same predicate and every argument pair is already forced
     equal."""
     if e.pred != f.pred or e.positive == f.positive or len(e.args) != len(f.args):
         return False
-    return all(store.forced_equal(x, y) for x, y in zip(e.args, f.args))
+    return all(store.find(x) == store.find(y) for x, y in zip(e.args, f.args))
 
 
 def instantiate_literal(schema, mapping):

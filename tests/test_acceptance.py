@@ -174,7 +174,7 @@ def test_criterion_4_threat_cost_monotonicity():
                     cc = len(enumerate_repairs(child, live, self.dom))
                     self.samples += 1
                     if cc > pc:
-                        self.violations.append((f.describe(), pc, cc))
+                        self.violations.append((f, pc, cc))
 
     total = 0
     violations = []
@@ -344,7 +344,7 @@ def test_criterion_6_tileworld_phenomenon():
         first_differences[p] = k + 1
         for rev, (plan, flaw) in zip((False, True), (default[k], reversed_[k])):
             if not _turns_on_insertion_order(lcfr, plan, flaw, dom):
-                order_failures.append((p, rev, k + 1, flaw.describe()))
+                order_failures.append((p, rev, k + 1, flaw))
 
     ok = len(lcfr_wins) >= 2 and not order_failures and elapsed < 300.0
     detail = (

@@ -5,8 +5,9 @@ import io
 
 import pytest
 
+from helpers import format_domain, format_problem
 from poclab.cli import main
-from poclab.domains import bundled, format_domain, format_problem
+from poclab.domains import bundled
 
 
 def run(capsys, *argv):

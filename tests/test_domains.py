@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from helpers import format_domain, format_problem
 from poclab.domains import (
     ParseError,
     Problem,
     bundled,
     bundled_names,
-    format_domain,
-    format_problem,
-    parse,
     parse_domain,
     parse_problem,
 )
@@ -32,7 +30,8 @@ def test_parse_domain_basics():
     d = parse_domain(BLOCKS_TEXT)
     assert d.name == "mini"
     assert d.predicates == {"on": 2, "clear": 1}
-    op = d.operator("stack")
+    [op] = d.operators
+    assert op.name == "stack"
     assert op.params == ("?x", "?y")
     assert [str(l) for l in op.preconds] == ["(clear ?x)", "(clear ?y)"]
     assert [str(l) for l in op.effects] == ["(on ?x ?y)", "(not (clear ?y))"]
@@ -49,10 +48,10 @@ def test_round_trip_through_printer():
 
 def test_precondition_order_preserved():
     d = parse_domain(BLOCKS_TEXT)
-    assert [l.pred for l in d.operator("stack").preconds] == ["clear", "clear"]
+    assert [l.pred for l in d.operators[0].preconds] == ["clear", "clear"]
     flipped = BLOCKS_TEXT.replace("(clear ?x) (clear ?y)", "(clear ?y) (clear ?x)")
     d2 = parse_domain(flipped)
-    assert [l.args for l in d2.operator("stack").preconds] == [("?y",), ("?x",)]
+    assert [l.args for l in d2.operators[0].preconds] == [("?y",), ("?x",)]
 
 
 @pytest.mark.parametrize(
@@ -97,6 +96,23 @@ def test_problem_errors():
     with pytest.raises(ParseError, match="exactly one") as err:
         parse_problem(base.replace("(:goal (and (on A B)))", "(:goal (and (clear A))\n (on A B))"), d)
     assert (err.value.line, err.value.col) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["(:domain other)", "(:objects C)", "(:init (clear B))", "(:goal (and (clear A)))"],
+)
+def test_a_repeated_problem_section_is_rejected(section):
+    # a second section would otherwise replace (:domain) or extend
+    # (:objects, :init, :goal) the first one
+    d = parse_domain(BLOCKS_TEXT)
+    base = (
+        "(define (problem p) (:domain mini) (:objects A B)"
+        " (:init (clear A)) (:goal (and (on A B)))"
+    )
+    with pytest.raises(ParseError, match=f"duplicate {section[1:].split()[0]}") as err:
+        parse_problem(f"{base}\n {section})", d)
+    assert (err.value.line, err.value.col) == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -174,12 +190,13 @@ def test_generated_domains_round_trip(preds):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="(); abc?\n-:", max_size=60))
 def test_malformed_inputs_never_crash(text):
-    try:
-        parse(text)
-    except ParseError as e:
-        assert e.line >= 1 and e.col >= 1
-    except RecursionError:
-        pytest.fail("parser recursed unboundedly")
+    for parse in (parse_domain, parse_problem):
+        try:
+            parse(text)
+        except ParseError as e:
+            assert e.line >= 1 and e.col >= 1
+        except RecursionError:
+            pytest.fail("parser recursed unboundedly")
 
 
 def test_every_bundled_problem_is_solvable():

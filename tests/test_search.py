@@ -18,6 +18,7 @@ import oracle
 from helpers import (
     EveryNode,
     instantiate_literal,
+    plan_key,
     plan_with,
     separable_threat_fixture,
     small_domains,
@@ -41,7 +42,6 @@ from poclab.plan import (
     format_solution,
     instantiate_step,
     make_skeletal_plan,
-    serialize,
     validate_solution,
 )
 from poclab.search import (
@@ -68,7 +68,7 @@ def test_rank_weighted_sums():
     opens = [Flaw(OPEN, GOAL_ID, lit("p", const(n)), None, i) for i, n in enumerate("ABC")]
     threat = Flaw(NONSEPARABLE, 3, not_q, link, 3)
     p = plan_with(steps=(a, b), links=(link,), agenda=opens + [threat])
-    assert (p.n_steps, p.n_open, p.n_threats) == (2, 3, 1)
+    assert (p.n_steps, p.n_open, len(p.agenda) - p.n_open) == (2, 3, 1)
     assert rank(p, parse_rank("S+OC")) == 5
     assert rank(p, parse_rank("S+OC+UC")) == 6
     assert type(rank(p, parse_rank("S+OC"))) is int
@@ -388,8 +388,8 @@ def rederivations_checked(dom):
         got = derive(plan, flaw, parent, delta)
         want = flaws.enumerate_repairs(plan, flaw, dom)
         assert got == want, (
-            f"{flaw.describe()} after delta {delta}: re-derived {[r.describe() for r in got]}"
-            f" != enumerated {[r.describe() for r in want]}"
+            f"{flaw} after delta {delta}: re-derived {got}"
+            f" != enumerated {want}"
         )
         log.append((parent, got))
         return got
@@ -421,13 +421,13 @@ def deltas_checked():
         for repair, (child, got) in zip(applied, out, strict=True):
             want = store_diff_delta(plan, child)
             assert got[:2] == want[:2] and got.rebound <= want.rebound, (
-                f"{repair.describe()} of {flaw.describe()}: delta {got}, store diff {want}"
+                f"{repair} of {flaw}: delta {got}, store diff {want}"
             )
             extra = want.rebound - got.rebound
             if extra:
                 fresh = set(child.steps[-1].params) if got.step_added else set()
                 moved = {m for m, r in child.bindings._rep.items() if r in extra and plan.bindings.find(m) != r}
-                assert moved <= fresh, f"{repair.describe()} of {flaw.describe()}: {moved - fresh} changed class"
+                assert moved <= fresh, f"{repair} of {flaw}: {moved - fresh} changed class"
                 log["narrower"] += 1
         return out
 
@@ -668,7 +668,7 @@ def probes_checked(dom):
         node = refresh(plan, delta)
         for f in node.agenda:
             got = flaws.has_any_repair(node, f, dom)
-            assert got == bool(flaws.enumerate_repairs(node, f, dom)), f"{f.describe()}: probe says {got}"
+            assert got == bool(flaws.enumerate_repairs(node, f, dom)), f"{f}: probe says {got}"
             if f.kind != OPEN:
                 branch = "threat"
             elif (f.literal.pred, f.literal.positive) in dom.always_establishable:
@@ -790,7 +790,7 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
     def derive_checked(plan, flaw, parent, delta):
         got = derive(plan, flaw, parent, delta)
         if got == parent:
-            assert got is parent, f"{flaw.describe()}: an unchanged list was copied"
+            assert got is parent, f"{flaw}: an unchanged list was copied"
             unchanged.append(got)
         return got
 
@@ -835,7 +835,7 @@ def pops_checked(w):
         return entry
 
     def refresh_checked(plan, delta=None):
-        assert rank(plan, w) == pushed.pop(), serialize(plan)
+        assert rank(plan, w) == pushed.pop(), plan
         return refresh(plan, delta)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -942,7 +942,7 @@ def test_cached_costs_are_repair_counts_in_the_child(domain, problem, name, syst
             for child in children:
                 for f in child.agenda:
                     if id(f) not in inherited:
-                        assert f.cached_cost == len(flaws.enumerate_repairs(child, f, dom)), f.describe()
+                        assert f.cached_cost == len(flaws.enumerate_repairs(child, f, dom)), f
                         checked += 1
 
     config = SearchConfig(node_limit=2000, cost_mode="cached", systematic=systematic)
@@ -1157,7 +1157,7 @@ def test_systematic_mode_never_duplicates_nodes():
             self.duplicates = []
 
         def visit(self, plan):
-            key = serialize(plan)
+            key = plan_key(plan)
             if key in self.seen:
                 self.duplicates.append(key)
             self.seen[key] = True
@@ -1210,6 +1210,30 @@ def test_every_builtin_solves_sussman():
         assert validate_solution(out.plan, dom, probs[0]), name
 
 
+def test_ucpop_and_lifo_are_one_search():
+    """UCPOP ({n,s}LIFO / {o}LIFO) and LIFO ({o,n,s}LIFO) pick the same
+    flaw on every node: a refinement stamps its threats after its opens,
+    so each threat is newer than each open, and both pick the newest
+    threat while one exists and the newest open otherwise."""
+
+    def summary(out, dom, prob):
+        s = out.stats
+        lines = format_solution(out.plan, dom, prob) if out.solved else None
+        return out.status, s.nodes_generated, s.nodes_expanded, s.nodes_pruned, s.max_frontier, lines
+
+    toggles = ({}, {"systematic": True, "dmin_check": True}, {"reverse_preconditions": True})
+    for name in bundled_names():
+        dom, probs = bundled(name)
+        for prob in probs:
+            for rank_text in ("S+OC", "S+OC+UC"):
+                for extra in toggles:
+                    config = SearchConfig(rank=parse_rank(rank_text), node_limit=2000, **extra)
+                    ucpop, lifo = (
+                        summary(plan_search(dom, prob, builtin(s), config), dom, prob) for s in ("UCPOP", "LIFO")
+                    )
+                    assert ucpop == lifo, (prob.name, rank_text, extra)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="plan_search caches the root's costs for builtin QLCFR, but refinements "
@@ -1221,7 +1245,7 @@ def test_builtin_qlcfr_caches_every_agenda_flaw_cost():
     class Obs(EveryNode):
         def visit(self, plan):
             for f in plan.agenda:
-                assert f.cached_cost is not None, f.describe()
+                assert f.cached_cost is not None, f
 
     out = plan_search(dom, probs[0], builtin("QLCFR"), SearchConfig(node_limit=10000), observer=Obs())
     assert out.solved
@@ -1348,7 +1372,7 @@ def test_every_solution_executes_in_the_ground_oracle(case, name, pruning, dmin)
     out = plan_search(dom, prob, builtin(name), config)
     if out.solved:
         result = validate_solution(out.plan, dom, prob)
-        assert oracle.execute(dom, prob, _ground_actions(out.plan, result)), serialize(out.plan)
+        assert oracle.execute(dom, prob, _ground_actions(out.plan, result)), out.plan
 
 
 _UNBOUND_NEGATIVE_DOMAIN = parse_domain(

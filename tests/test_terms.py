@@ -28,8 +28,7 @@ t, u, v = var("?t", 3), var("?u", 4), var("?v", 5)
 
 def test_unify_identity_leaves_store_unchanged():
     s = unify(lit("p", A, A), lit("p", A, A), EMPTY_STORE)
-    assert s is not None
-    assert s.classes() == []
+    assert s is EMPTY_STORE
 
 
 def test_unify_blocked_by_noncodesignation():
@@ -41,10 +40,10 @@ def test_unify_binds_positionally():
     # the three-argument pattern: nothing is forced until bound
     s = unify(lit("p", x, y, z), lit("p", t, u, v), EMPTY_STORE)
     assert s is not None
-    assert s.forced_equal(x, t) and s.forced_equal(y, u) and s.forced_equal(z, v)
-    assert not s.forced_equal(x, u)
+    assert s.find(x) == s.find(t) and s.find(y) == s.find(u) and s.find(z) == s.find(v)
+    assert s.find(x) != s.find(u)
     # the original is untouched
-    assert not EMPTY_STORE.forced_equal(x, t)
+    assert EMPTY_STORE.find(x) != EMPTY_STORE.find(t)
 
 
 def test_unify_mismatched_predicate_or_polarity():
@@ -84,7 +83,7 @@ def test_forced_complementary_implies_unifiable():
 
 def test_add_noncodesignation():
     s = EMPTY_STORE.require_distinct(x, t)
-    assert s is not None and s.noncodesignating(x, t)
+    assert s is not None and s.merge(x, t) is None
     assert s.merge(x, y).require_distinct(x, y) is None  # now codesignate
     assert EMPTY_STORE.require_distinct(A, A) is None  # constant self-disequality
     merged = EMPTY_STORE.merge(x, t)
@@ -93,7 +92,6 @@ def test_add_noncodesignation():
 
 def test_distinct_constants_never_unify():
     assert EMPTY_STORE.merge(A, B) is None
-    assert EMPTY_STORE.noncodesignating(A, B)
     s = EMPTY_STORE.require_distinct(A, B)  # redundant but allowed
     assert s is not None
 
@@ -111,7 +109,7 @@ def test_unify_commutative():
     if s1 is not None:
         pairs = [(x, t), (y, t), (x, y), (z, A)]
         for p, q in pairs:
-            assert s1.forced_equal(p, q) == s2.forced_equal(p, q)
+            assert (s1.find(p) == s1.find(q)) == (s2.find(p) == s2.find(q))
 
 
 def test_constraints_only_grow():
@@ -120,10 +118,9 @@ def test_constraints_only_grow():
     s2 = unify(lit("p", t), lit("p", u), s1)
     for s_prev, s_next in ((s0, s1), (s1, s2)):
         for a, b in ((x, y), (y, x)):
-            if s_prev.forced_equal(a, b):
-                assert s_next.forced_equal(a, b)
-        for p in s_prev.neq_pairs():
-            assert p in s_next.neq_pairs()
+            if s_prev.find(a) == s_prev.find(b):
+                assert s_next.find(a) == s_next.find(b)
+        assert s_prev._neq <= s_next._neq
 
 
 def test_args_unifiable_matches_unify():
@@ -181,7 +178,7 @@ def test_forced_equality_matches_naive_closure_oracle():
         comp = _naive_components(terms, merged)
         for i, a in enumerate(terms):
             for b in terms[i + 1 :]:
-                assert store.forced_equal(a, b) == (comp[a] == comp[b]), (
+                assert (store.find(a) == store.find(b)) == (comp[a] == comp[b]), (
                     f"{a} vs {b}: store disagrees with pairwise closure"
                 )
 
@@ -200,13 +197,12 @@ def test_merge_never_joins_disequal_classes(data):
             nxt = store.require_distinct(a, b)
         if nxt is not None:
             store = nxt
-    # invariant: no noncodesignation pair inside one class, no class with
-    # two distinct constants
-    for a, b in store.neq_pairs():
-        assert not store.forced_equal(a, b)
-    for cls in store.classes():
-        constants = [t for t in cls if not t.is_variable]
-        assert len(set(constants)) <= 1
+    # invariant: no noncodesignation pair inside one class, and every
+    # constant leads its own class, so no class holds two constants
+    for a, b in store._neq:
+        assert store.find(a) != store.find(b)
+    for c in terms[6:]:
+        assert store.find(c) == c
 
 
 # ?w0 shares ?v0's vid under another name, so the kernel's name
@@ -235,15 +231,19 @@ def _draw_args(data, elements, n):
 
 def _model_classes(store, pairs):
     """The naive reference for the union kernel, built only from the
-    store's public views: a partition of terms plus disequal class
-    pairs, merged one pair at a time.  None when the pairs cannot all
-    codesignate; else (each term's class, the disequal class pairs)."""
-    cls = {t: frozenset(c) for c in store.classes() for t in c}
+    store's public views over _POOL, the terms every drawn store is
+    built from: a partition of terms plus disequal class pairs, merged
+    one pair at a time.  None when the pairs cannot all codesignate;
+    else (each term's class, the disequal class pairs)."""
+    groups: dict = {}
+    for t in _POOL:
+        groups.setdefault(store.find(t), set()).add(t)
+    cls = {t: frozenset(g) for g in groups.values() for t in g}
 
     def of(t):
         return cls.get(t, frozenset((t,)))
 
-    apart = {frozenset((of(a), of(b))) for a, b in store.neq_pairs()}
+    apart = {frozenset((of(t), of(o))) for t in _POOL for o in store.neq_reps_of(t)}
     for x, y in pairs:
         cx, cy = of(x), of(y)
         if cx == cy:
@@ -293,11 +293,11 @@ def _check_against_model(a, b, store):
     """args_unifiable, unify and the unified store's find, each against
     _model_unify."""
     expected = _model_unify(store, list(zip(a.args, b.args)))
-    assert args_unifiable(a, b, store) == (expected is not None), (a, b, store.describe())
+    assert args_unifiable(a, b, store) == (expected is not None), (a, b, store)
     unified = unify(a, b, store)
-    assert (unified is None) == (expected is None), (a, b, store.describe())
+    assert (unified is None) == (expected is None), (a, b, store)
     if unified is not None:
-        assert {t: unified.find(t) for t in expected} == expected, (a, b, store.describe())
+        assert {t: unified.find(t) for t in expected} == expected, (a, b, store)
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,16 +327,16 @@ def test_merge_and_unify_equal_a_rebuild_of_the_model(data):
     store = _draw_store(data)
     for _ in range(data.draw(st.integers(1, 3))):
         store = store.require_distinct(data.draw(st.sampled_from(_POOL)), data.draw(st.sampled_from(_POOL))) or store
-    assume(store.neq_pairs())
+    assume(store._neq)
     a, b = data.draw(st.sampled_from(_POOL)), data.draw(st.sampled_from(_POOL))
     merged = store.merge(a, b)
     want = _model_store(store, [(a, b)])
-    assert (merged and (merged._rep, merged._neq)) == want, (a, b, store.describe())
+    assert (merged and (merged._rep, merged._neq)) == want, (a, b, store)
     n = data.draw(st.integers(0, 4))
     la, lb = (Literal(True, "p", _draw_args(data, _POOL, n)) for _ in range(2))
     unified = unify(la, lb, store)
     want = _model_store(store, list(zip(la.args, lb.args)))
-    assert (unified and (unified._rep, unified._neq)) == want, (la, lb, store.describe())
+    assert (unified and (unified._rep, unified._neq)) == want, (la, lb, store)
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,13 +355,13 @@ def test_the_one_pair_path_equals_the_batch_loop_and_the_model(data):
     for a in _POOL:
         for b in _POOL:
             got = _union((a,), (b,), store)
-            assert got == _union((a, a), (b, b), store), (a, b, store.describe())
+            assert got == _union((a, a), (b, b), store), (a, b, store)
             model = _model_classes(store, [(a, b)])
             if model is None:
-                assert got is None, (a, b, store.describe())
+                assert got is None, (a, b, store)
                 continue
             lead = _model_leader(model[0].get(a, frozenset((a,))))
-            assert got == {r: lead for r in (store.find(a), store.find(b)) if r != lead}, (a, b, store.describe())
+            assert got == {r: lead for r in (store.find(a), store.find(b)) if r != lead}, (a, b, store)
 
 
 @settings(max_examples=300, deadline=None)
