@@ -6,9 +6,8 @@ every constraining operation returns a fresh extended store (or None on
 inconsistency) and never touches the original.  One union over class
 representatives (_union) decides whether two argument tuples can
 codesignate pairwise, for unify, merge, threat classification and the
-unifiability tests alike.  Most calls compare a
-single argument pair, which the kernel decides with two lookups and no
-batch bookkeeping.
+unifiability tests alike.  Most calls compare a single argument pair,
+which the kernel decides with two lookups and no batch bookkeeping.
 """
 
 from __future__ import annotations
