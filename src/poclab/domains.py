@@ -63,7 +63,6 @@ class OperatorTemplate(NamedTuple):
     plan.instantiate_step.  A position indexes the step's fresh parameter
     variables (one per parameter, in order) followed by `constants`."""
 
-    params: tuple[int, ...]
     constants: tuple[Term, ...]
     preconds: tuple[tuple[bool, str, tuple[int, ...]], ...]  # (positive, pred, positions)
     effects: tuple[tuple[bool, str, tuple[int, ...]], ...]  # distinct effects only
@@ -91,7 +90,6 @@ class Operator:
             return tuple((l.positive, l.pred, tuple(slot[a] for a in l.args)) for l in ls)
 
         return OperatorTemplate(
-            tuple(slot[p] for p in self.params),
             tuple(map(const, names)),
             shape(self.preconds),
             shape(dict.fromkeys(self.effects)),
@@ -132,14 +130,11 @@ class Domain:
                    for _, _, eff in cands)
         )
 
-    @property
+    @cached_property
     def constants(self) -> tuple[str, ...]:
-        """Constants mentioned inside operator schemas, sorted."""
-        seen = set()
-        for op in self.operators:
-            for l in op.preconds + op.effects:
-                seen.update(a for a in l.args if not a.startswith("?"))
-        return tuple(sorted(seen))
+        """Constants mentioned inside operator schemas, sorted; read off
+        the templates on first read and kept, like establishers."""
+        return tuple(sorted({c.name for op in self.operators for c in op.template.constants}))
 
 
 @dataclass(frozen=True)
@@ -307,12 +302,12 @@ def _parse_operator(body: list[_Node], sec: _Node, predicates: dict[str, int]) -
     return Operator(name, tuple(params), tuple(l for l, _ in pre), tuple(l for l, _ in eff))
 
 
-def _ground_literal(l: SchemaLiteral, node: _Node, objects: set[str] | None) -> Literal:
+def _ground_literal(l: SchemaLiteral, node: _Node, objects: dict[str, None]) -> Literal:
     args = []
     for a in l.args:
         if a.startswith("?"):
             raise ParseError(f"variable '{a}' not allowed here (must be ground)", node.line, node.col)
-        if objects is not None and a not in objects:
+        if a not in objects:
             raise ParseError(f"undeclared object '{a}'", node.line, node.col)
         args.append(const(a))
     return Literal(l.positive, l.pred, tuple(args))
@@ -346,11 +341,17 @@ def _define(text: str, want: str) -> tuple[_Node, str, list[_Node]]:
     return node, name, items[2:]
 
 
+def _declarations_first(sections: list[_Node], keyword: str) -> list[_Node]:
+    """`sections`, those headed `keyword` first and each part in source
+    order: the format fixes no order, but a name is declared before use."""
+    return sorted(sections, key=lambda sec: sec.is_atom or not sec.value or sec.value[0].value != keyword)
+
+
 def parse_domain(text: str) -> Domain:
     _, name, sections = _define(text, "domain")
     predicates: dict[str, int] = {}
     operators: list[Operator] = []
-    for sec in sections:
+    for sec in _declarations_first(sections, ":predicates"):
         body = _expect_form(sec, "a domain section")
         if not body:
             raise ParseError("empty section", sec.line, sec.col)
@@ -379,12 +380,12 @@ def parse_problem(text: str, domain: Domain | None = None) -> Problem:
     (its name, predicate declarations and arities)."""
     node, name, sections = _define(text, "problem")
     domain_name: str | None = None
-    objects: list[str] = []
+    objects: dict[str, None] = {}  # in declared order
     init: list[Literal] = []
     goal: list[Literal] = []
     preds = domain.predicates if domain is not None else None
     seen: set[str] = set()
-    for sec in sections:
+    for sec in _declarations_first(sections, ":objects"):
         body = _expect_form(sec, "a problem section")
         if not body:
             raise ParseError("empty section", sec.line, sec.col)
@@ -401,7 +402,7 @@ def parse_problem(text: str, domain: Domain | None = None) -> Problem:
                 v = _expect_atom(o, "an object name")
                 if v in objects:
                     raise ParseError(f"duplicate object '{v}'", o.line, o.col)
-                objects.append(v)
+                objects[v] = None
         elif head == ":init":
             for n in body[1:]:
                 l = _read_schema_literal(n)
@@ -409,14 +410,14 @@ def parse_problem(text: str, domain: Domain | None = None) -> Problem:
                     raise ParseError("initial state literals must be positive (closed world)", n.line, n.col)
                 if preds is not None:
                     _check_literal(l, n, preds, None)
-                init.append(_ground_literal(l, n, set(objects)))
+                init.append(_ground_literal(l, n, objects))
         elif head == ":goal":
             if len(body) > 2:
                 raise ParseError(":goal takes exactly one (and ...) form", body[2].line, body[2].col)
             for l, n in _read_literal_list(body[1] if len(body) > 1 else sec, ":goal"):
                 if preds is not None:
                     _check_literal(l, n, preds, None)
-                goal.append(_ground_literal(l, n, set(objects)))
+                goal.append(_ground_literal(l, n, objects))
         else:
             raise ParseError(f"unknown problem section '{head}'", sec.line, sec.col)
     if domain_name is None:

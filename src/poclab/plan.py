@@ -152,7 +152,7 @@ def instantiate_step(op: Operator, sid: int, vids: Iterator[int]) -> Step:
     return Step(
         sid,
         op.name,
-        tuple(map(get, t.params)),
+        tuple(values[: len(op.params)]),
         tuple([Literal(pos, pred, tuple(map(get, idx))) for pos, pred, idx in t.preconds]),
         tuple([Literal(pos, pred, tuple(map(get, idx))) for pos, pred, idx in t.effects]),
     )

@@ -17,17 +17,17 @@ from __future__ import annotations
 import random
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .domains import Domain
 from .flaws import FROM_START, NEW_STEP, REUSE, Delta, Repair, enumerate_repairs, rederive_open_repairs
 from .flaws import enumerate_open_repairs  # noqa: F401  -- unused here; perfbench's tracer patches it
-from .plan import OPEN, Flaw, PartialPlan
+from .plan import NONSEPARABLE, OPEN, SEPARABLE, Flaw, PartialPlan
 
-FLAW_TYPES = ("o", "n", "s")
+FLAW_TYPES = (OPEN, NONSEPARABLE, SEPARABLE)
 TIEBREAKS = ("LIFO", "FIFO", "LC", "R", "New")
 
-_KIND_WORDS = {"o": "open conditions", "n": "nonseparable threats", "s": "separable threats"}
+_KIND_WORDS = {OPEN: "open conditions", NONSEPARABLE: "nonseparable threats", SEPARABLE: "separable threats"}
 
 
 class StrategyError(ValueError):
@@ -131,7 +131,7 @@ def _parse_preference(cur: _Cursor) -> Preference:
         pos = cur.pos()
         t = cur.take()
         if t not in FLAW_TYPES:
-            raise StrategyError(f"flaw type must be one of o, n, s; got {t!r}", pos)
+            raise StrategyError(f"flaw type must be one of {', '.join(FLAW_TYPES)}; got {t!r}", pos)
         if t in types:
             raise StrategyError(f"duplicate flaw type {t!r}", pos)
         types.append(t)
@@ -207,50 +207,47 @@ def parse_strategy(text: str, name: str | None = None) -> Strategy:
 # builtins
 
 
-_BUILTIN_DEFS: dict[str, str] = {
-    "UCPOP": "{n,s}LIFO / {o}LIFO",
-    "UCPOP-LC": "{n,s}LIFO / {o}LC",
-    "DSep": "{n}LIFO / {o}LIFO / {s}LIFO",
-    "DSep-LC": "{n}LIFO / {o}LC / {s}LIFO",
-    "DSep-FIFO": "{n}LIFO / {o}FIFO / {s}LIFO",
-    "DUnf": "{n,s}0 LIFO / {n,s}1 LIFO / {o}LIFO / {n,s}2-inf LIFO",
-    "DUnf-LC": "{n,s}0 LIFO / {n,s}1 LIFO / {o}LC / {n,s}2-inf LIFO",
-    "DUnf-FIFO": "{n,s}0 LIFO / {n,s}1 LIFO / {o}FIFO / {n,s}2-inf LIFO",
-    "DUnf-Gen": "{n,s,o}0 LIFO / {n,s,o}1 LIFO / {n,s,o}2-inf LIFO",
-    "LCFR": "{o,n,s}LC",
-    "LCFR-DSep": "{n,o}LC / {s}LC",
-    "ZLIFO": "{n}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LIFO / {s}LIFO",
-    "LIFO": "{o,n,s}LIFO",
-    "QLCFR": "{o,n,s}LC",
+# Parsed once, on import, and shared (a Strategy is a frozen value);
+# keyed by lower-cased name, so that lookup ignores case.
+_BUILTINS: dict[str, Strategy] = {
+    s.name.lower(): s
+    for s in (
+        parse_strategy("{n,s}LIFO / {o}LIFO", "UCPOP"),
+        parse_strategy("{n,s}LIFO / {o}LC", "UCPOP-LC"),
+        parse_strategy("{n}LIFO / {o}LIFO / {s}LIFO", "DSep"),
+        parse_strategy("{n}LIFO / {o}LC / {s}LIFO", "DSep-LC"),
+        parse_strategy("{n}LIFO / {o}FIFO / {s}LIFO", "DSep-FIFO"),
+        parse_strategy("{n,s}0 LIFO / {n,s}1 LIFO / {o}LIFO / {n,s}2-inf LIFO", "DUnf"),
+        parse_strategy("{n,s}0 LIFO / {n,s}1 LIFO / {o}LC / {n,s}2-inf LIFO", "DUnf-LC"),
+        parse_strategy("{n,s}0 LIFO / {n,s}1 LIFO / {o}FIFO / {n,s}2-inf LIFO", "DUnf-FIFO"),
+        parse_strategy("{n,s,o}0 LIFO / {n,s,o}1 LIFO / {n,s,o}2-inf LIFO", "DUnf-Gen"),
+        parse_strategy("{o,n,s}LC", "LCFR"),
+        parse_strategy("{n,o}LC / {s}LC", "LCFR-DSep"),
+        parse_strategy("{n}LIFO / {o}0 LIFO / {o}1 New / {o}2-inf LIFO / {s}LIFO", "ZLIFO"),
+        parse_strategy("{o,n,s}LIFO", "LIFO"),
+        replace(parse_strategy("{o,n,s}LC", "QLCFR"), cached_costs=True),
+    )
 }
-
-_CACHED_COST_BUILTINS = frozenset({"QLCFR"})
-
-_BUILTIN_LOOKUP = {name.lower(): name for name in _BUILTIN_DEFS}
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTIN_DEFS)
+    return tuple(s.name for s in _BUILTINS.values())
 
 
 def builtin(name: str) -> Strategy:
     """Look up a builtin strategy by (case-insensitive) name."""
-    canonical = _BUILTIN_LOOKUP.get(name.lower())
-    if canonical is None:
-        raise KeyError(f"unknown strategy '{name}' (have: {', '.join(_BUILTIN_DEFS)})")
-    s = parse_strategy(_BUILTIN_DEFS[canonical], name=canonical)
-    if canonical in _CACHED_COST_BUILTINS:
-        s = Strategy(s.prefs, name=canonical, cached_costs=True)
+    s = _BUILTINS.get(name.lower())
+    if s is None:
+        raise KeyError(f"unknown strategy '{name}' (have: {', '.join(builtin_names())})")
     return s
 
 
 def describe_builtins() -> list[tuple[str, str]]:
-    out = []
-    for name, text in _BUILTIN_DEFS.items():
-        if name in _CACHED_COST_BUILTINS:
-            text += "   (repair costs cached at flaw insertion)"
-        out.append((name, text))
-    return out
+    # search.refinements caches no cost unless SearchConfig.cost_mode is "cached"
+    return [
+        (s.name, f"{s}   (repair costs cached for the root's goals only)" if s.cached_costs else str(s))
+        for s in _BUILTINS.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,32 @@ def test_a_repeated_problem_section_is_rejected(section):
     assert (err.value.line, err.value.col) == (2, 3)
 
 
+OPERATOR_FIRST_TEXT = """
+(define (domain mini)
+  (:operator stack
+    :parameters (?x ?y)
+    :precondition (and (clear ?x) (clear ?y))
+    :effect (and (on ?x ?y) (not (clear ?y))))
+  (:predicates (on ?x ?y) (clear ?x)))
+"""
+
+
+def test_a_section_may_declare_names_after_their_use():
+    # the format fixes no section order, so a name that a later section
+    # declares is declared
+    problem = "(define (problem p) (:domain blocks) {} (:goal (and (on B A))))"
+    objects_first = parse_problem(problem.format("(:objects A B) (:init (on A B))"))
+    assert parse_problem(problem.format("(:init (on A B)) (:objects A B)")) == objects_first
+    assert parse_domain(OPERATOR_FIRST_TEXT) == parse_domain(BLOCKS_TEXT)
+    # a name that no section declares is still reported where it is used
+    with pytest.raises(ParseError, match="undeclared object 'C'") as err:
+        parse_problem(problem.format("(:init (on A C)) (:objects A B)"))
+    assert (err.value.line, err.value.col) == (1, 45)
+    with pytest.raises(ParseError, match="undeclared predicate 'top'") as err:
+        parse_domain(OPERATOR_FIRST_TEXT.replace("(on ?x ?y) (not", "(top ?x ?y) (not"))
+    assert (err.value.line, err.value.col) == (6, 18)
+
+
 @pytest.mark.parametrize(
     "read,text,message,line,col",
     [

@@ -25,6 +25,7 @@ from helpers import (
     store_diff_delta,
     threat_domains,
 )
+from perfbench import workloads
 from perfbench.tracing import TARGETS
 from poclab import flaws, search, strategies
 from poclab.domains import bundled, bundled_names, parse_domain, parse_problem
@@ -59,6 +60,7 @@ from poclab.search import (
 )
 from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
 from poclab.terms import BindingStore, const, lit, var
+from reference import reference_search
 
 
 def test_rank_weighted_sums():
@@ -951,8 +953,7 @@ def test_cached_costs_are_repair_counts_in_the_child(domain, problem, name, syst
 
 
 GOLDEN_TOGGLED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-toggled.json"
-# the sweep-toggled workload's search toggles (perfbench/workloads.py)
-TOGGLES = {"cost_mode": "cached", "dmin_check": True, "systematic": True}
+TOGGLES = dict(workloads.WORKLOADS["sweep-toggled"].toggles)
 
 
 def test_toggled_sweep_small_cells_match_golden():
@@ -975,6 +976,32 @@ def test_toggled_sweep_small_cells_match_golden():
     assert not mismatched, f"node counts differ from golden: {mismatched}"
     assert len({key.split("|")[0] for key in small}) == 6
     assert any(want["pruned"] for want in small.values())
+
+
+def test_the_reference_search_reproduces_every_small_golden_cell():
+    """The from-scratch loop of tests/reference.py, which keeps no
+    inherited list, Delta, probe shortcut or build at pop, gives every
+    golden cell under 1,000 nodes of the three workloads its recorded
+    status, node counts and largest frontier."""
+    problems = {p.name: (dom, p) for d in bundled_names() for dom, probs in [bundled(d)] for p in probs}
+    fields = ("status", "generated", "expanded", "pruned", "max_frontier")
+    checked, mismatched = 0, []
+    for workload in workloads.WORKLOADS.values():
+        cells = json.loads((GOLDEN_TOGGLED.parent / f"{workload.name}.json").read_text())["cells"]
+        for key, want in cells.items():
+            if want["generated"] >= workloads.SMALL_CELL_NODES:
+                continue
+            name, problem, rank_text = key.split("|")
+            dom, prob = problems[problem]
+            config = SearchConfig(
+                rank=parse_rank(rank_text), node_limit=workloads.NODE_LIMIT, **dict(workload.toggles)
+            )
+            got = reference_search(dom, prob, builtin(name), config)
+            if got != tuple(want[f] for f in fields):
+                mismatched.append(f"{workload.name} {key}: {got}")
+            checked += 1
+    assert not mismatched, f"the reference differs from golden: {mismatched}"
+    assert checked == 277
 
 
 def test_dmin_pruning_is_sound():

@@ -167,8 +167,21 @@ def test_builtin_definitions():
 def test_builtin_case_insensitive_and_unknown():
     assert builtin("zlifo").name == "ZLIFO"
     assert builtin("lcfr-dsep").name == "LCFR-DSep"
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"unknown strategy 'SNLP' \(have: UCPOP, UCPOP-LC, .*, LIFO, QLCFR\)"):
         builtin("SNLP")
+
+
+def test_a_builtin_is_parsed_once_and_shared():
+    assert builtin("lcfr") is builtin("LCFR")
+    assert all(builtin(name.upper()) is builtin(name) for name in builtin_names())
+
+
+def test_the_listing_prints_each_builtin_and_notes_cached_costs_alone():
+    note = "   (repair costs cached for the root's goals only)"
+    listing = describe_builtins()
+    assert [name for name, _ in listing] == list(builtin_names())
+    for name, text in listing:
+        assert text == str(builtin(name)) + (note if name == "QLCFR" else "")
 
 
 def test_qlcfr_is_cached_lcfr():
