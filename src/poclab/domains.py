@@ -22,6 +22,7 @@ inherit it.  Initial states are ground and positive (closed world).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -161,54 +162,32 @@ class _Node:
         return isinstance(self.value, str)
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, line, col
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            yield text[i:j], line, col
-            col += j - i
-            i = j
-    yield None, line, col  # end marker
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")  # newline, comment, parenthesis, atom
 
 
 def _read_all(text: str) -> list[_Node]:
-    stack: list[_Node] = []
-    top: list[_Node] = []
-    for tok, line, col in _tokenize(text):
-        if tok is None:
-            if stack:
-                raise ParseError("unbalanced '(': form never closed", stack[-1].line, stack[-1].col)
-            return top
-        if tok == "(":
+    """The text's top-level nodes, off one scan.  Every character other
+    than a newline is one column wide, so a token's column is its offset
+    from the last newline."""
+    stack = [_Node([], 0, 0)]  # the root holds the top-level nodes
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok, col = m.group(), m.start() - line_start + 1
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+        elif tok == "(":
             node = _Node([], line, col)
-            (stack[-1].value if stack else top).append(node)
+            stack[-1].value.append(node)
             stack.append(node)
         elif tok == ")":
-            if not stack:
+            if len(stack) == 1:
                 raise ParseError("unmatched ')'", line, col)
             stack.pop()
-        else:
-            (stack[-1].value if stack else top).append(_Node(tok, line, col))
-    raise AssertionError("tokenizer did not emit end marker")
+        elif tok[0] != ";":
+            stack[-1].value.append(_Node(tok, line, col))
+    if len(stack) > 1:
+        raise ParseError("unbalanced '(': form never closed", stack[-1].line, stack[-1].col)
+    return stack[0].value
 
 
 def _expect_atom(node: _Node, what: str) -> str:

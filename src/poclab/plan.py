@@ -17,7 +17,6 @@ one with some fields changed.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
@@ -196,30 +195,17 @@ def make_skeletal_plan(
 
 
 def linearize(plan: PartialPlan) -> list[int]:
-    """Deterministic topological order (ties broken by ascending id)."""
-    n = len(plan.steps)
-    indeg = [0] * n
-    for a in range(n):
-        m = plan.orderings.succ[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            indeg[b] += 1
-            m &= m - 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
+    """Deterministic topological order: each time, the lowest-id step
+    that no unplaced step precedes, read off the ordering closure."""
+    succ = plan.orderings.succ
+    left = list(range(len(plan.steps)))
     out: list[int] = []
-    while ready:
-        a = heapq.heappop(ready)
-        out.append(a)
-        m = plan.orderings.succ[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(ready, b)
-            m &= m - 1
-    if len(out) != n:
-        raise RuntimeError("ordering store contains a cycle")
+    while left:
+        b = next((b for b in left if not any(succ[a] >> b & 1 for a in left)), None)
+        if b is None:
+            raise RuntimeError("ordering store contains a cycle")
+        left.remove(b)
+        out.append(b)
     return out
 
 

@@ -6,7 +6,7 @@ the selected flaw makes one child, and refinements() is the one place a
 child is built, in one pass that also adds the flaws the repair makes
 and, in cached-cost mode, costs them in the child.  A node any of whose
 flaws has repair cost zero is a dead end and is pruned before expansion
-(switchable).
+(switchable); so is a flaw-free node whose bindings have no grounding.
 Each child is counted (nodes_generated) and ranked when it is pushed,
 but built only when something reads it: at its pop, unless the rank
 weighs threats (a child's new threats are known only once it is built)
@@ -83,6 +83,7 @@ from .plan import (
     Flaw,
     PartialPlan,
     _plan_variables,
+    ground_assignment,
     instantiate_step,
     make_skeletal_plan,
     open_conditions,
@@ -120,13 +121,16 @@ class RankWeights:
 
 
 def _coef_text(f: int | Fraction) -> str:
+    """`f` as parse_rank reads it back: an integer or its exact decimal.
+    Only a fraction with no finite decimal, such as 1/3, is written n/d."""
     if f.denominator == 1:
         return str(f.numerator)
-    scaled = f * 1000
-    if scaled.denominator == 1:  # exact with three decimals or fewer
-        text = f"{f.numerator / f.denominator:.3f}".rstrip("0")
-        return text if not text.endswith(".") else text[:-1]
-    return f"{f.numerator}/{f.denominator}"
+    k = f.denominator.bit_length()  # 10**k is a multiple of any 2**a * 5**b up to the denominator
+    scaled = f * 10**k
+    if scaled.denominator != 1:
+        return f"{f.numerator}/{f.denominator}"
+    digits = str(abs(scaled.numerator)).rjust(k + 1, "0")
+    return f"{'-' * (f < 0)}{digits[:-k]}.{digits[-k:]}".rstrip("0")
 
 
 _RANK_TERM = re.compile(r"^(\d*\.?\d*)(S|OC|UC)$")
@@ -394,13 +398,6 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         stats.wall_seconds = time.monotonic() - t0
         return SearchOutcome(status, solution, stats)
 
-    def solved(node: PartialPlan) -> SearchOutcome:
-        result = validate_solution(node, domain, problem)
-        if not result:
-            raise RuntimeError(f"flaw-free plan failed validation: {result.message}")
-        stats.grounded_variables = result.grounded_variables
-        return finish(SOLVED, node)
-
     while frontier:
         _, _, node, lists, flaw, delta = heapq.heappop(frontier)
         if flaw is not None:  # `node` is the parent and `delta` the repair
@@ -408,7 +405,14 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
             stats.children_built += 1
         node = refresh_agenda(node, delta)
         if not node.agenda:
-            return solved(node)
+            result = validate_solution(node, domain, problem)
+            if result:
+                stats.grounded_variables = result.grounded_variables
+                return finish(SOLVED, node)
+            if ground_assignment(node, tuple(problem.objects) + domain.constants) is not None:
+                raise RuntimeError(f"flaw-free plan failed validation: {result.message}")
+            stats.nodes_pruned += 1  # a dead end: its separations leave no grounding
+            continue
 
         # each flaw's list made at most once per node
         table = RepairTable(node, domain, lists, delta)

@@ -10,20 +10,35 @@ and gives selection a fresh RepairTable.  Each child's new variables
 and flaws are numbered on from its parent's (SearchContext.resuming,
 refinements' default), not from one search-wide counter; the search
 module's docstring says why that moves no count.  It shares only
-refinements, enumerate_repairs, refresh_agenda, select_flaw and rank
-with the engine, so a node count that differs from plan_search's
-points at the incremental layer.
+refinements, enumerate_repairs, refresh_agenda, select_flaw, rank and
+ground_assignment with the engine, so a node count that differs from
+plan_search's points at the incremental layer.
+
+Run as a script, it checks every golden cell of the three benchmark
+workloads and exits 1 on any mismatch:
+
+    python tests/reference.py
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import random
+import sys
+import time
+from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":  # import poclab and perfbench from this checkout
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench import workloads
+from poclab.domains import bundled, bundled_names
 from poclab.flaws import enumerate_repairs, refresh_agenda
-from poclab.plan import NONSEPARABLE, make_skeletal_plan
-from poclab.search import EXHAUSTED, NODE_LIMIT, SOLVED, rank, refinements
-from poclab.strategies import RepairTable, select_flaw
+from poclab.plan import NONSEPARABLE, ground_assignment, make_skeletal_plan
+from poclab.search import EXHAUSTED, NODE_LIMIT, SOLVED, SearchConfig, parse_rank, rank, refinements
+from poclab.strategies import RepairTable, builtin, select_flaw
 
 
 def _orderable(threats, orderings) -> bool:
@@ -52,7 +67,10 @@ def reference_search(domain, problem, strategy, config) -> tuple:
     while frontier:
         node = refresh_agenda(heapq.heappop(frontier)[2])
         if not node.agenda:
-            return SOLVED, generated, expanded, pruned, max_frontier
+            if ground_assignment(node, tuple(problem.objects) + domain.constants) is not None:
+                return SOLVED, generated, expanded, pruned, max_frontier
+            pruned += 1  # a flaw-free dead end: no grounding keeps its separations
+            continue
         repairs = {id(f): enumerate_repairs(node, f, domain) for f in node.agenda}
         nonsep = [f for f in node.agenda if f.kind == NONSEPARABLE]
         if (config.dead_end_pruning and not all(repairs.values())) or (
@@ -72,3 +90,37 @@ def reference_search(domain, problem, strategy, config) -> tuple:
         if config.node_limit is not None and generated >= config.node_limit and frontier:
             return NODE_LIMIT, generated, expanded, pruned, max_frontier
     return EXHAUSTED, generated, expanded, pruned, max_frontier
+
+
+def check_golden(workload: workloads.Workload, node_cap: int | None = None) -> tuple[int, list[str]]:
+    """(cells checked, mismatches) of the reference against `workload`'s
+    golden record: status, node counts and largest frontier of each
+    cell under `node_cap` golden nodes, or of every cell when it is None."""
+    problems = {p.name: (dom, p) for d in bundled_names() for dom, probs in [bundled(d)] for p in probs}
+    cells = json.loads((ROOT / "perfbench" / "golden" / f"{workload.name}.json").read_text())["cells"]
+    fields = ("status", "generated", "expanded", "pruned", "max_frontier")
+    checked, mismatched = 0, []
+    for key, want in cells.items():
+        if node_cap is not None and want["generated"] >= node_cap:
+            continue
+        name, problem, rank_text = key.split("|")
+        dom, prob = problems[problem]
+        config = SearchConfig(rank=parse_rank(rank_text), node_limit=workloads.NODE_LIMIT, **dict(workload.toggles))
+        got = reference_search(dom, prob, builtin(name), config)
+        if got != tuple(want[f] for f in fields):
+            mismatched.append(f"{workload.name} {key}: {got}")
+        checked += 1
+    return checked, mismatched
+
+
+if __name__ == "__main__":
+    failed = False
+    for workload in workloads.WORKLOADS.values():
+        t0 = time.perf_counter()
+        checked, mismatched = check_golden(workload)
+        print(f"{workload.name}: {checked} cells checked, {len(mismatched)} mismatches, "
+              f"{time.perf_counter() - t0:.1f} s")
+        for line in mismatched:
+            print(f"  {line}")
+        failed = failed or bool(mismatched)
+    sys.exit(1 if failed else 0)

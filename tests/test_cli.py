@@ -36,6 +36,23 @@ def test_plan_failure_exit_code(capsys):
     assert "nodes generated:" in out
 
 
+def test_plan_reports_a_search_that_ends_in_an_ungroundable_plan_as_exhausted(tmp_path, capsys):
+    # the one flaw-free plan keeps o's ?x apart from both objects
+    dpath, ppath = tmp_path / "k.dom", tmp_path / "k.prob"
+    dpath.write_text(
+        "(define (domain k) (:predicates (u ?a) (p ?a))"
+        " (:operator o :parameters (?x ?y) :precondition (and) :effect (and (u ?y) (not (p ?x)))))"
+    )
+    ppath.write_text(
+        "(define (problem k) (:domain k) (:objects A B) (:init (p A) (p B)) (:goal (and (p A) (p B) (u A))))"
+    )
+    code, out, err = run(
+        capsys, "plan", "--domain", str(dpath), "--problem", str(ppath), "--builtin", "LCFR", "--node-limit", "300"
+    )
+    assert code == 1
+    assert "no solution: exhausted" in err
+
+
 def test_plan_with_custom_strategy_and_problem_name(capsys):
     code, out, err = run(
         capsys,

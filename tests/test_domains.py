@@ -157,6 +157,38 @@ def test_a_wrong_kind_is_reported_at_its_head(read, text, message, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+def test_line_ends_tabs_and_comments_read_as_whitespace():
+    # '\r' and '\t' are whitespace, and an atom ends at a ';'
+    base = parse_domain(BLOCKS_TEXT)
+    assert parse_domain(BLOCKS_TEXT.replace("\n", "\r\n")) == base
+    assert parse_domain(BLOCKS_TEXT.replace("  ", "\t")) == base
+    assert parse_domain(BLOCKS_TEXT.replace("(clear ?x))", "(clear ?x;the one left\n))", 1)) == base
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        # '\r' ends no line: the next line starts at column 1
+        ("(define (domain d)\r\n  (:predicates (p ?x))\r\n  (:foo))\r\n", "unknown domain section ':foo'", 3, 3),
+        # a tab is one column wide
+        ("(define (domain d)\n\t(:predicates (p ?x))\n\t\t(:foo))", "unknown domain section ':foo'", 3, 3),
+        (BLOCKS_TEXT.replace("(clear ?x))", "(clear ?x;the one left\n))", 1).replace("(not (clear ?y))", "(not\t(clr ?y))"),
+         "undeclared predicate 'clr'", 9, 29),
+        # the comment after '?x' swallows the ')' that would close the form
+        ("(define (domain d)\n  (:predicates (p ?x;)\n  (:foo))", "form never closed", 2, 3),
+        # a form left open at the end of the text is reported at its '(',
+        # the innermost one first
+        ("(define (domain d)\n  (:predicates (p ?x)", "form never closed", 2, 3),
+        ("(define (domain d)\n  (:predicates (p ?x)) ; one ')' short", "form never closed", 1, 1),
+        (BLOCKS_TEXT.replace("\n", "\r\n").replace("(clear ?y)))", "(clear ?y))"), "form never closed", 3, 1),
+    ],
+)
+def test_reader_positions_past_line_ends_tabs_and_comments(text, message, line, col):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_domain(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_arity_mismatch_names_predicate_and_position():
     d = parse_domain(BLOCKS_TEXT)
     text = "(define (problem p) (:domain mini) (:objects A)\n (:init (on A)) (:goal (and (clear A))))"

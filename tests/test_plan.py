@@ -7,6 +7,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from helpers import EveryNode
@@ -130,6 +132,24 @@ def test_linearize_cases():
     o = o.with_step(3)
     p = PartialPlan(base.steps + (base.steps[0], base.steps[0]), base.links, o, base.bindings, ())
     assert linearize(p) == [0, 2, 3, 1]  # unordered pair broken by id
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linearize_places_the_lowest_step_whose_predecessors_are_placed(data):
+    n = data.draw(st.integers(2, 11))
+    o = OrderingStore.initial()
+    for sid in range(2, n):
+        o = o.with_step(sid)
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+        o = o.with_ordering(a, b) or o
+    steps = tuple(Step(i, f"s{i}", (), (), ()) for i in range(n))
+    order = linearize(PartialPlan(steps, (), o, EMPTY_STORE, ()))
+    assert sorted(order) == list(range(n))
+    assert all(order.index(a) < order.index(b) for a in range(n) for b in range(n) if o.precedes(a, b))
+    for i, sid in enumerate(order):
+        left = order[i:]
+        assert sid == min(b for b in left if not any(o.precedes(a, b) for a in left))
 
 
 def test_validate_empty_goal_plan():

@@ -60,7 +60,7 @@ from poclab.search import (
 )
 from poclab.strategies import builtin, builtin_names, parse_strategy, select_flaw
 from poclab.terms import BindingStore, const, lit, var
-from reference import reference_search
+from reference import check_golden, reference_search
 
 
 def test_rank_weighted_sums():
@@ -93,6 +93,14 @@ def test_parse_rank_labels_and_errors():
     assert parse_rank("2S+OC").w_steps == 2
     assert parse_rank("S+OC+.1UC").label == "S+OC+0.1UC"
     assert parse_rank("S+OC").label == "S+OC"
+    assert parse_rank("S+OC+UC").label == "S+OC+UC"
+    # the label is the CSV rank column: each weight parse_rank makes is
+    # written as its exact decimal, so the label parses back
+    assert parse_rank("S+OC+.1234UC").label == "S+OC+0.1234UC"
+    assert parse_rank("S+0.0625OC").label == "S+0.0625OC"
+    for text in ("S+OC+.1234UC", "S+0.0625OC", ".1UC", "1.5S", "S+OC+UC"):
+        assert parse_rank(parse_rank(text).label) == parse_rank(text)
+    assert RankWeights(Fraction(1, 3)).label == "1/3S+OC"  # no finite decimal
     with pytest.raises(ValueError, match="'F'"):
         parse_rank("S+OC+.1UC+F")
     with pytest.raises(ValueError, match="twice"):
@@ -983,25 +991,10 @@ def test_the_reference_search_reproduces_every_small_golden_cell():
     inherited list, Delta, probe shortcut or build at pop, gives every
     golden cell under 1,000 nodes of the three workloads its recorded
     status, node counts and largest frontier."""
-    problems = {p.name: (dom, p) for d in bundled_names() for dom, probs in [bundled(d)] for p in probs}
-    fields = ("status", "generated", "expanded", "pruned", "max_frontier")
-    checked, mismatched = 0, []
-    for workload in workloads.WORKLOADS.values():
-        cells = json.loads((GOLDEN_TOGGLED.parent / f"{workload.name}.json").read_text())["cells"]
-        for key, want in cells.items():
-            if want["generated"] >= workloads.SMALL_CELL_NODES:
-                continue
-            name, problem, rank_text = key.split("|")
-            dom, prob = problems[problem]
-            config = SearchConfig(
-                rank=parse_rank(rank_text), node_limit=workloads.NODE_LIMIT, **dict(workload.toggles)
-            )
-            got = reference_search(dom, prob, builtin(name), config)
-            if got != tuple(want[f] for f in fields):
-                mismatched.append(f"{workload.name} {key}: {got}")
-            checked += 1
+    results = [check_golden(w, workloads.SMALL_CELL_NODES) for w in workloads.WORKLOADS.values()]
+    mismatched = [line for _, lines in results for line in lines]
     assert not mismatched, f"the reference differs from golden: {mismatched}"
-    assert checked == 277
+    assert sum(checked for checked, _ in results) == 277
 
 
 def test_dmin_pruning_is_sound():
@@ -1411,18 +1404,42 @@ _UNBOUND_NEGATIVE_PROBLEM = parse_problem(
 )
 
 
+_UNGROUNDABLE_DOMAIN = parse_domain(
+    "(define (domain k) (:predicates (u ?a) (p ?a))"
+    " (:operator o :parameters (?x ?y) :precondition (and) :effect (and (u ?y) (not (p ?x)))))"
+)
+_UNGROUNDABLE_PROBLEM = parse_problem(
+    "(define (problem k) (:domain k) (:objects A B) (:init (p A) (p B)) (:goal (and (p A) (p B) (u A))))",
+    _UNGROUNDABLE_DOMAIN,
+)
+
+
 @example(case=(_UNBOUND_NEGATIVE_DOMAIN, _UNBOUND_NEGATIVE_PROBLEM), name="UCPOP", pruning=True, dmin=False)
+@example(case=(_UNGROUNDABLE_DOMAIN, _UNGROUNDABLE_PROBLEM), name="LCFR", pruning=True, dmin=False)
 @settings(max_examples=60, deadline=None)
 @_ORACLE_CASES
 def test_an_exhausted_search_means_no_two_step_plan_exists(case, name, pruning, dmin):
     """Completeness against tests/oracle.py: a search that exhausts its
     space below its node limit has missed no plan of two steps or fewer.
-    The explicit example needs the closed world for o0's (not (b ?x ?x))
-    while nothing binds ?x."""
+    The first explicit example needs the closed world for o0's
+    (not (b ?x ?x)) while nothing binds ?x.  In the second, separation
+    keeps o's ?x apart from both objects, so the flaw-free plan has no
+    grounding and is a dead end, not a solution."""
     dom, prob = case
     config = SearchConfig(node_limit=300, dead_end_pruning=pruning, dmin_check=dmin)
     if plan_search(dom, prob, builtin(name), config).status == EXHAUSTED:
         assert oracle.solve(dom, prob, 2) is None
+
+
+@pytest.mark.parametrize("rank_text", ["S+OC", "S+OC+UC"])
+def test_a_flaw_free_plan_with_no_grounding_is_pruned(rank_text):
+    config = SearchConfig(rank=parse_rank(rank_text), node_limit=300)
+    for name in builtin_names():
+        out = plan_search(_UNGROUNDABLE_DOMAIN, _UNGROUNDABLE_PROBLEM, builtin(name), config)
+        assert (out.status, out.stats.nodes_generated, out.stats.nodes_pruned) == (EXHAUSTED, 6, 1), name
+        assert reference_search(_UNGROUNDABLE_DOMAIN, _UNGROUNDABLE_PROBLEM, builtin(name), config) == (
+            EXHAUSTED, 6, out.stats.nodes_expanded, 1, out.stats.max_frontier
+        ), name
 
 
 _MATCHED_NEGATIVE_PROBLEM = parse_problem(
