@@ -3,10 +3,18 @@
 Node selection pops the minimum-rank plan (ties: most recently generated
 first).  Flaw selection is delegated to the strategy; every repair of
 the selected flaw makes one child, and refinements() is the one place a
-child is built, in one pass that also adds the flaws the repair makes
-and, in cached-cost mode, costs them in the child.  A node any of whose
-flaws has repair cost zero is a dead end and is pruned before expansion
-(switchable); so is a flaw-free node whose bindings have no grounding.
+child is built, in one pass that also adds the flaws the repair makes.
+A node any of whose flaws has repair cost zero is a dead end and is
+pruned before expansion (switchable); so is a flaw-free node whose
+bindings have no grounding.  In cached-cost mode a flaw's
+insertion-time cost is its repair count in the node that added it,
+taken when that node is expanded: after its refresh, the dead-end probe
+and the dmin test, just before flaw selection.  Every inherited flaw
+was costed when the parent was expanded; the node's new flaws were
+found against its own stores, so its refresh gives them back unchanged;
+and the stores do not change between a child's build and its pop.  So
+each count is the one the child would get at its build, and a child
+that is never popped, or a node that is pruned, is never costed.
 Each child is counted (nodes_generated) and ranked when it is pushed,
 but built only when something reads it: at its pop, unless the rank
 weighs threats (a child's new threats are known only once it is built)
@@ -196,6 +204,7 @@ class SearchStats:
     seed: int = 0
     grounded_variables: int = 0
     children_built: int = 0  # children refinements() built, at push or at pop
+    flaws_costed: int = 0  # insertion-time costings in cached-cost mode, the root's included
 
 
 @dataclass(frozen=True)
@@ -248,9 +257,10 @@ def refinements(
     Delta only reorders, or rebinds the parent representatives of the
     separated pair.  An establishment links its producer (the start
     step, a reused step, or a new step whose preconditions become open
-    conditions) to the flaw's step and adds the threats it makes; in
-    cached-cost mode its new flaws are costed in the child, which is
-    built again only if it gains threats or costs.  Its Delta rebinds
+    conditions) to the flaw's step and adds the threats it makes; the
+    child is built again only if it gains threats.  No flaw is costed
+    here: in cached-cost mode the search costs a node's new flaws when
+    it expands the node.  An establishment's Delta rebinds
     the child's representative of each term of the linked condition,
     and of an init or reuse effect, whose representative changed (a new
     step's effect holds no term of the parent but constants, which lead
@@ -260,7 +270,6 @@ def refinements(
     ctx = ctx or SearchContext.resuming(plan)
     if repairs is None:
         repairs = enumerate_repairs(plan, flaw, domain)
-    cached = config.cost_mode == "cached"
     rest = tuple([f for f in plan.agenda if f is not flaw])
     if len(rest) == len(plan.agenda):
         raise ValueError("selected flaw is not on the agenda")
@@ -301,9 +310,7 @@ def refinements(
         threats = detect_new_threats(child, new_step, link, config.systematic)
         if threats:
             added += tuple([Flaw(k, sid, eff, lk, next(ctx.stamps)) for k, sid, eff, lk in threats])
-        if cached and added:
-            added = _with_cached_costs(child, added, domain)
-        if threats or (cached and added):
+        if threats:
             child = PartialPlan(steps, links, orderings, bindings, rest + added)
         delta = _UNBOUND[orderings is not plan.orderings, new_step is not None]
         if bindings is not old:
@@ -359,10 +366,11 @@ def plan_search(
 
     `observer`'s one hook, on_expand(node, flaw, children) if it has
     one, is called at each expansion with the refreshed node, its
-    selected flaw and its built, unrefreshed children before their
-    push.  The root is the first node expanded, so the hook sees every
-    node generated unless the root solves or is pruned.  The hook makes
-    every child be built at push.
+    selected flaw and its built children before their push.  In
+    cached-cost mode the node carries its flaws' costs; the children
+    are neither refreshed nor costed yet.  The root is the first node
+    expanded, so the hook sees every node generated unless the root
+    solves or is pruned.  The hook makes every child be built at push.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -379,12 +387,13 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
     rng = random.Random(config.seed)
     if not strategy.reads_costs:
         config = replace(config, cost_mode="exact")  # no cached cost would be read
-    cached = config.cost_mode == "cached" or strategy.cached_costs
+    cost_new = config.cost_mode == "cached"  # each node's new flaws, at its expansion
 
     ctx = SearchContext()
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions, ctx.stamps)
-    if cached:
+    if cost_new or strategy.cached_costs:
         root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
+        stats.flaws_costed = len(root.agenda)
     stats.nodes_generated = 1
     # the root has no parent, and every flaw on its agenda was found
     # against its own stores, so its Delta re-tests nothing
@@ -428,6 +437,14 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
                 if not dmin_feasible(node):
                     stats.nodes_pruned += 1
                     continue
+        if cost_new:
+            # `table` keeps the uncosted node: the stores are the same
+            new = [f for f in node.agenda if f.cached_cost is None]
+            if new:
+                costed = iter(_with_cached_costs(node, tuple(new), domain))
+                agenda = tuple([next(costed) if f.cached_cost is None else f for f in node.agenda])
+                node = PartialPlan(node.steps, node.links, node.orderings, node.bindings, agenda)
+                stats.flaws_costed += len(new)
 
         flaw = select_flaw(strategy, node, domain, rng, config.cost_mode, table)
         stats.nodes_expanded += 1

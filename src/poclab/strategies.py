@@ -243,7 +243,7 @@ def builtin(name: str) -> Strategy:
 
 
 def describe_builtins() -> list[tuple[str, str]]:
-    # search.refinements caches no cost unless SearchConfig.cost_mode is "cached"
+    # below the root, the search caches no cost unless SearchConfig.cost_mode is "cached"
     return [
         (s.name, f"{s}   (repair costs cached for the root's goals only)" if s.cached_costs else str(s))
         for s in _BUILTINS.values()

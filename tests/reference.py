@@ -12,7 +12,10 @@ refinements' default), not from one search-wide counter; the search
 module's docstring says why that moves no count.  It shares only
 refinements, enumerate_repairs, refresh_agenda, select_flaw, rank and
 ground_assignment with the engine, so a node count that differs from
-plan_search's points at the incremental layer.
+plan_search's points at the incremental layer.  In cached-cost mode it
+also costs each child's new flaws in the child as soon as refinements
+returns it, where the engine costs them only when it expands the child;
+so it checks that costing late moves no count.
 
 Run as a script, it checks every golden cell of the three benchmark
 workloads and exits 1 on any mismatch:
@@ -53,15 +56,24 @@ def _orderable(threats, orderings) -> bool:
     return False
 
 
+def _costed(plan, domain):
+    """`plan` with each flaw that has no cached cost given its repair count."""
+    costed = [
+        f if f.cached_cost is not None else f._replace(cached_cost=len(enumerate_repairs(plan, f, domain)))
+        for f in plan.agenda
+    ]
+    return plan._replace(agenda=tuple(costed))
+
+
 def reference_search(domain, problem, strategy, config) -> tuple:
     """(status, generated, expanded, pruned, max_frontier) of the search
     that plan_search runs, which must have no time limit."""
     assert config.time_limit is None
     rng = random.Random(config.seed)
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions)
-    if config.cost_mode == "cached" or strategy.cached_costs:
-        costed = [f._replace(cached_cost=len(enumerate_repairs(root, f, domain))) for f in root.agenda]
-        root = root._replace(agenda=tuple(costed))
+    cached = config.cost_mode == "cached"
+    if cached or strategy.cached_costs:
+        root = _costed(root, domain)
     frontier = [(rank(root, config.rank), 0, root)]
     generated, expanded, pruned, max_frontier = 1, 0, 0, 1
     while frontier:
@@ -84,6 +96,8 @@ def reference_search(domain, problem, strategy, config) -> tuple:
         flaw = select_flaw(strategy, node, domain, rng, config.cost_mode, RepairTable(node, domain))
         expanded += 1
         for child, _ in refinements(node, flaw, domain, config):
+            if cached:
+                child = _costed(child, domain)
             generated += 1
             heapq.heappush(frontier, (rank(child, config.rank), -generated, child))
         max_frontier = max(max_frontier, len(frontier))

@@ -25,6 +25,7 @@ def test_plan_bundled_blocks_lcfr(capsys):
     assert "move-to-table(C A)" in out
     assert "nodes generated:" in out
     assert "children built:" in out
+    assert "flaws costed: 0" in out
 
 
 def test_plan_failure_exit_code(capsys):
@@ -246,3 +247,5 @@ def test_plan_toggle_flags(capsys):
     )
     assert code == 0
     assert "solution (3 steps):" in out
+    costed = next(line for line in out.splitlines() if line.startswith("flaws costed: "))
+    assert int(costed.split(": ")[1]) > 0

@@ -352,7 +352,9 @@ def test_every_traced_search_name_is_still_called(monkeypatch, rank_text, built_
     expects, whether a child is built at its pop (S+OC, one repair per
     refinements call) or at its push (S+OC+UC).  LCFR on invert4 with
     cached costs, the dmin test and systematic threats reaches every
-    one under both ranks; dmin_feasible is the rarest."""
+    one under both ranks; dmin_feasible is the rarest.  Flaws are
+    costed by the search loop, at the root and at each expansion, never
+    inside refinements."""
     names = [attr for owner, attr, _, _ in TARGETS if owner is search and attr != "plan_search"]
     stack = ["plan_search"]
     edges = set()  # (caller, callee) among the wrapped names
@@ -383,7 +385,8 @@ def test_every_traced_search_name_is_still_called(monkeypatch, rank_text, built_
     # a child built at its pop is ranked without being built, so only the root is ranked by rank()
     assert calls["rank"] == (1 if built_at == "pop" else out.stats.nodes_generated)
     assert {("refinements", "unify"), ("refinements", "detect_new_threats"),
-            ("refinements", "_with_cached_costs"), ("_with_cached_costs", "enumerate_repairs")} <= edges
+            ("plan_search", "_with_cached_costs"), ("_with_cached_costs", "enumerate_repairs")} <= edges
+    assert ("refinements", "_with_cached_costs") not in edges
 
 
 @contextmanager
@@ -917,15 +920,15 @@ def test_building_at_pop_searches_as_building_at_push():
 
 def test_only_strategies_that_read_costs_cache_them():
     """Under cost_mode="cached", flaws are costed at insertion only for
-    a strategy that reads costs: UCPOP's plans carry no cached cost,
-    LCFR's always do."""
+    a strategy that reads costs: the nodes UCPOP expands carry no cached
+    cost, every flaw of a node LCFR expands does."""
     dom, probs = bundled("blocks")
     for name, costed in (("UCPOP", False), ("LCFR", True)):
         seen = set()
 
-        class Obs(EveryNode):
-            def visit(self, plan):
-                seen.update(f.cached_cost is not None for f in plan.agenda)
+        class Obs:
+            def on_expand(self, node, flaw, children):
+                seen.update(f.cached_cost is not None for f in node.agenda)
 
         config = SearchConfig(node_limit=10000, cost_mode="cached")
         assert plan_search(dom, probs[0], builtin(name), config, observer=Obs()).solved
@@ -939,21 +942,29 @@ def test_only_strategies_that_read_costs_cache_them():
 )
 def test_cached_costs_are_repair_counts_in_the_child(domain, problem, name, systematic):
     """Under cost_mode="cached", each flaw a refinement adds (a new
-    step's open conditions and the new threats) carries its repair count
-    in the child it was added to."""
+    step's open conditions and the new threats) carries, on every node
+    expanded, its repair count in the child it was added to, and each
+    root flaw its count in the root.  Counts are keyed by insertion
+    stamp, which no two flaws of one search share."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
+    want: dict[int, int] = {}
     checked = 0
 
     class Check:
         def on_expand(self, node, flaw, children):
             nonlocal checked
-            inherited = {id(f) for f in node.agenda}
+            if not want:  # the root
+                want.update((f.inserted_at, len(flaws.enumerate_repairs(node, f, dom))) for f in node.agenda)
+            for f in node.agenda:
+                assert f.cached_cost == want[f.inserted_at], f
+                checked += 1
+            inherited = {f.inserted_at for f in node.agenda}
             for child in children:
                 for f in child.agenda:
-                    if id(f) not in inherited:
-                        assert f.cached_cost == len(flaws.enumerate_repairs(child, f, dom)), f
-                        checked += 1
+                    if f.inserted_at not in inherited:
+                        assert f.inserted_at not in want, f
+                        want[f.inserted_at] = len(flaws.enumerate_repairs(child, f, dom))
 
     config = SearchConfig(node_limit=2000, cost_mode="cached", systematic=systematic)
     plan_search(dom, prob, builtin(name), config, observer=Check())
@@ -984,6 +995,37 @@ def test_toggled_sweep_small_cells_match_golden():
     assert not mismatched, f"node counts differ from golden: {mismatched}"
     assert len({key.split("|")[0] for key in small}) == 6
     assert any(want["pruned"] for want in small.values())
+
+
+@pytest.mark.parametrize("rank_text", workloads.RANKS)
+@pytest.mark.parametrize(
+    "name, problem", [("LCFR", "invert4"), ("ZLIFO", "tileworld-2"), ("LCFR-DSep", "get-paid-bc-at-work")],
+)
+def test_flaws_costed_counts_each_flaw_of_an_expanded_node_once(name, problem, rank_text):
+    """On sweep-toggled cells, SearchStats.flaws_costed is the number of
+    distinct flaws (by insertion stamp) on the nodes expanded: the
+    root's, and each expanded node's new ones, costed once at its
+    expansion whether the search builds children at push or at pop.  At
+    S+OC+UC, where every child is built at push, it is below the number
+    of flaws the children added: a child never popped is never costed."""
+    problems = {p.name: (dom, p) for d in bundled_names() for dom, probs in [bundled(d)] for p in probs}
+    dom, prob = problems[problem]
+    stamps: set[int] = set()
+    added = 0
+
+    class Count:
+        def on_expand(self, node, flaw, children):
+            nonlocal added
+            seen = {f.inserted_at for f in node.agenda}
+            stamps.update(seen)
+            added += sum(f.inserted_at not in seen for child in children for f in child.agenda)
+
+    config = SearchConfig(rank=parse_rank(rank_text), node_limit=workloads.NODE_LIMIT, **TOGGLES)
+    watched = plan_search(dom, prob, builtin(name), config, Count()).stats
+    plain = plan_search(dom, prob, builtin(name), config).stats
+    assert watched.flaws_costed == plain.flaws_costed == len(stamps) > 0
+    if rank_text == "S+OC+UC":
+        assert plain.flaws_costed < added
 
 
 def test_the_reference_search_reproduces_every_small_golden_cell():
@@ -1256,8 +1298,9 @@ def test_ucpop_and_lifo_are_one_search():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="plan_search caches the root's costs for builtin QLCFR, but refinements "
-    "reads only config.cost_mode, so flaws added below the root carry no cached cost",
+    reason="plan_search caches the root's costs for builtin QLCFR, but costs a node's "
+    "new flaws at its expansion only under config.cost_mode 'cached', so flaws added "
+    "below the root carry no cached cost",
 )
 def test_builtin_qlcfr_caches_every_agenda_flaw_cost():
     dom, probs = bundled("blocks")
