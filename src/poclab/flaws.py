@@ -42,7 +42,7 @@ node's repair lists in one strategies.RepairTable.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .domains import Domain, Operator, SchemaLiteral
 from .plan import (
@@ -74,10 +74,11 @@ DEMOTE = "demote"
 SEPARATE = "separate"
 
 
-class Repair(NamedTuple):
+@dataclass(slots=True, unsafe_hash=True)
+class Repair:
     """One way to fix one flaw.  Only the fields for its kind are set.
-    The enumeration builds establishments positionally, which is
-    cheaper than by keyword for a named tuple."""
+    A value, like the plan records: nothing assigns to a field once it
+    is built, so one Repair serves every list that holds it."""
 
     kind: str
     step: int = -1                       # init / reuse: producing step id
@@ -87,7 +88,7 @@ class Repair(NamedTuple):
     pair: tuple[Term, Term] | None = None  # separate: terms to force apart
 
 
-# Field-less repairs are shared: a Repair is immutable, and the probe
+# Field-less repairs are shared: a Repair is a value, and the probe
 # runs on every flaw of every popped node.
 _PROMOTE = Repair(PROMOTE)
 _DEMOTE = Repair(DEMOTE)
@@ -258,8 +259,8 @@ def refresh_agenda(plan: PartialPlan, delta: Delta | None = None) -> PartialPlan
     against the plan's own stores, so its re-test gives it back."""
     span = kinds = True
     if delta is not None:
-        span, _, rebound = delta
-        kinds = bool(rebound)
+        span = delta.reordered
+        kinds = bool(delta.rebound)
         if not (span or kinds):
             return plan
     refreshed: list[Flaw] = []
@@ -332,7 +333,8 @@ def _append_reuse(out: list[Repair], plan: PartialPlan, flaw: Flaw, first_step: 
                 out.append(Repair(REUSE, st.id, eff))
 
 
-class Delta(NamedTuple):
+@dataclass(slots=True, unsafe_hash=True)
+class Delta:
     """What refining a parent plan into a child changed, made by
     search.refinements as it builds the child.  `rebound` holds the
     child's representative of every class that holds a term of the
@@ -365,7 +367,7 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     when a class of the condition's or of the effect's terms did.  The
     order is the enumeration's, and an unchanged list is `parent`
     itself."""
-    reordered, step_added, rebound = delta
+    reordered, step_added, rebound = delta.reordered, delta.step_added, delta.rebound
     if not (reordered or step_added or rebound):
         return parent
     cond = flaw.literal

@@ -9,12 +9,14 @@ pruned before expansion (switchable); so is a flaw-free node whose
 bindings have no grounding.  In cached-cost mode a flaw's
 insertion-time cost is its repair count in the node that added it,
 taken when that node is expanded: after its refresh, the dead-end probe
-and the dmin test, just before flaw selection.  Every inherited flaw
-was costed when the parent was expanded; the node's new flaws were
-found against its own stores, so its refresh gives them back unchanged;
-and the stores do not change between a child's build and its pop.  So
-each count is the one the child would get at its build, and a child
-that is never popped, or a node that is pruned, is never costed.
+and the dmin test, just before flaw selection.  The node's RepairTable
+keeps each counted list, so a costed flaw that is then selected is not
+enumerated again.  Every inherited flaw was costed when the parent was
+expanded; the node's new flaws were found against its own stores, so
+its refresh gives them back unchanged; and the stores do not change
+between a child's build and its pop.  So each count is the one the
+child would get at its build, and a child that is never popped, or a
+node that is pruned, is never costed.
 Each child is counted (nodes_generated) and ranked when it is pushed,
 but built only when something reads it: at its pop, unless the rank
 weighs threats (a child's new threats are known only once it is built)
@@ -235,12 +237,14 @@ class SearchContext:
         return SearchContext(max_vid + 1, max_stamp + 1)
 
 
-def _with_cached_costs(plan: PartialPlan, flaws: tuple[Flaw, ...], domain: Domain) -> tuple[Flaw, ...]:
-    """`flaws` with their insertion-time repair costs in `plan` filled in."""
-    return tuple([
-        Flaw(f.kind, f.step, f.literal, f.link, f.inserted_at, len(enumerate_repairs(plan, f, domain)))
-        for f in flaws
-    ])
+def _with_cached_costs(table: RepairTable, flaws: tuple[Flaw, ...]) -> tuple[Flaw, ...]:
+    """`flaws` with their insertion-time repair costs in table.plan filled
+    in; `table` keeps each list it counts for the costed flaw."""
+    costed = []
+    for f in flaws:
+        repairs = table.counted[f.inserted_at] = enumerate_repairs(table.plan, f, table.domain)
+        costed.append(Flaw(f.kind, f.step, f.literal, f.link, f.inserted_at, len(repairs)))
+    return tuple(costed)
 
 
 def refinements(
@@ -391,8 +395,8 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
 
     ctx = SearchContext()
     root = make_skeletal_plan(domain, problem, config.reverse_preconditions, ctx.stamps)
-    if cost_new or strategy.cached_costs:
-        root = root._replace(agenda=_with_cached_costs(root, root.agenda, domain))
+    if strategy.cached_costs and not cost_new:  # else the root is costed at its expansion
+        root = replace(root, agenda=_with_cached_costs(RepairTable(root, domain), root.agenda))
         stats.flaws_costed = len(root.agenda)
     stats.nodes_generated = 1
     # the root has no parent, and every flaw on its agenda was found
@@ -441,7 +445,7 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
             # `table` keeps the uncosted node: the stores are the same
             new = [f for f in node.agenda if f.cached_cost is None]
             if new:
-                costed = iter(_with_cached_costs(node, tuple(new), domain))
+                costed = iter(_with_cached_costs(table, tuple(new)))
                 agenda = tuple([next(costed) if f.cached_cost is None else f for f in node.agenda])
                 node = PartialPlan(node.steps, node.links, node.orderings, node.bindings, agenda)
                 stats.flaws_costed += len(new)

@@ -265,7 +265,11 @@ class RepairTable:
     such a list is re-checked against it (rederive_open_repairs), not
     enumerated again.  The search's
     dead-end probe reads the inherited lists, and the search passes
-    this node's open-condition lists on to its children (open_lists)."""
+    this node's open-condition lists on to its children (open_lists).
+    `counted` holds, by insertion stamp, the lists the search made to
+    cost the node's new flaws: repairs() gives one to the costed copy
+    of its flaw instead of enumerating again, and open_lists hands it
+    on only once repairs() has given it, as if it were made then."""
 
     def __init__(
         self,
@@ -279,15 +283,18 @@ class RepairTable:
         self.inherited = inherited or {}
         self.delta = delta
         self._lists: dict[int, tuple[Flaw, list[Repair]]] = {}
+        self.counted: dict[int, list[Repair]] = {}
 
     def repairs(self, flaw: Flaw) -> list[Repair]:
         hit = self._lists.get(id(flaw))
         if hit is None:
             parent = self.inherited.get(flaw.inserted_at)
-            if parent is None:
-                repairs = enumerate_repairs(self.plan, flaw, self.domain)
-            else:
+            if parent is not None:
                 repairs = rederive_open_repairs(self.plan, flaw, parent, self.delta)
+            else:
+                repairs = self.counted.get(flaw.inserted_at)
+                if repairs is None:
+                    repairs = enumerate_repairs(self.plan, flaw, self.domain)
             hit = self._lists[id(flaw)] = (flaw, repairs)
         return hit[1]
 

@@ -30,6 +30,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,10 +60,10 @@ def _orderable(threats, orderings) -> bool:
 def _costed(plan, domain):
     """`plan` with each flaw that has no cached cost given its repair count."""
     costed = [
-        f if f.cached_cost is not None else f._replace(cached_cost=len(enumerate_repairs(plan, f, domain)))
+        f if f.cached_cost is not None else replace(f, cached_cost=len(enumerate_repairs(plan, f, domain)))
         for f in plan.agenda
     ]
-    return plan._replace(agenda=tuple(costed))
+    return replace(plan, agenda=tuple(costed))
 
 
 def reference_search(domain, problem, strategy, config) -> tuple:

@@ -13,6 +13,7 @@ pinned causes and the measured counts.
 import functools
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import oracle
@@ -286,8 +287,9 @@ def _turns_on_insertion_order(strategy, plan, flaw, dom):
     agenda's insertion stamps are put in reverse order."""
     stamps = sorted(f.inserted_at for f in plan.agenda)
     flip = dict(zip(stamps, reversed(stamps)))
-    flipped = plan._replace(
-        agenda=tuple(f._replace(inserted_at=flip[f.inserted_at]) for f in plan.agenda),
+    flipped = replace(
+        plan,
+        agenda=tuple(replace(f, inserted_at=flip[f.inserted_at]) for f in plan.agenda),
     )
     i = next(i for i, f in enumerate(plan.agenda) if f is flaw)
     return select_flaw(strategy, flipped, dom) is not flipped.agenda[i]
@@ -514,7 +516,7 @@ def test_criterion_10_cached_cost_divergence():
     assert insertion_cost == 2
 
     # promote the candidate producer past the consumer
-    moved = cached_plan._replace(orderings=cached_plan.orderings.with_ordering(3, 2))
+    moved = replace(cached_plan, orderings=cached_plan.orderings.with_ordering(3, 2))
     table = RepairTable(moved, dom)
     exact = table.cost(flaw)
     cached = table.cost(flaw, cached=True)

@@ -458,7 +458,7 @@ def test_negative_open_closed_world():
     lifted = Flaw(OPEN, GOAL_ID, lit("p", x, positive=False), None, inserted_at=9)
     with_lifted = PartialPlan(plan.steps, plan.links, plan.orderings, plan.bindings, (lifted,))
     assert [r.kind for r in enumerate_open_repairs(with_lifted, lifted, dom)] == [NEW_STEP]
-    apart = with_lifted._replace(bindings=plan.bindings.require_distinct(x, A))
+    apart = replace(with_lifted, bindings=plan.bindings.require_distinct(x, A))
     assert [r.kind for r in enumerate_open_repairs(apart, lifted, dom)] == [FROM_START, NEW_STEP]
 
 
@@ -690,7 +690,7 @@ def _use_step_plan(distinct=False):
     plan, _ = refinements(root, root.agenda[0], _DELTAS)[0]
     params = plan.steps[2].params
     if distinct:
-        plan = plan._replace(bindings=plan.bindings.require_distinct(params[0], params[1]))
+        plan = replace(plan, bindings=plan.bindings.require_distinct(params[0], params[1]))
     return plan, {f.literal.pred: f for f in plan.agenda}, params
 
 
@@ -705,16 +705,17 @@ def test_threat_repair_deltas():
     """Promotion and demotion rebind nothing and share one record; a
     separation rebinds the parent representatives of its pair."""
     plan, flaw = separable_threat_fixture()
-    plan = plan._replace(bindings=plan.bindings.merge(y, x), agenda=(flaw,))  # ?y's class is led by ?x
-    got = [(r.kind, d) for r, _, d in _deltas(plan, flaw, MINI2)]
+    plan = replace(plan, bindings=plan.bindings.merge(y, x), agenda=(flaw,))  # ?y's class is led by ?x
+    made = _deltas(plan, flaw, MINI2)
+    got = [(r.kind, d.reordered, d.step_added, d.rebound) for r, _, d in made]
     assert got == [
-        (PROMOTE, _UNBOUND[True, False]),
-        (DEMOTE, _UNBOUND[True, False]),
-        (SEPARATE, (False, False, {x, t})),
-        (SEPARATE, (False, False, {x, u})),
-        (SEPARATE, (False, False, {z, v})),
+        (PROMOTE, True, False, set()),
+        (DEMOTE, True, False, set()),
+        (SEPARATE, False, False, {x, t}),
+        (SEPARATE, False, False, {x, u}),
+        (SEPARATE, False, False, {z, v}),
     ]
-    assert got[0][1] is got[1][1] is _UNBOUND[True, False]
+    assert made[0][2] is made[1][2] is _UNBOUND[True, False]
 
 
 def test_reuse_rebinds_the_union_leaders_and_a_fresh_step_nothing():
@@ -727,7 +728,7 @@ def test_reuse_rebinds_the_union_leaders_and_a_fresh_step_nothing():
     flaw = Flaw(OPEN, 3, lit("on", x, y), None, inserted_at=0)
     plan = plan_with(steps=(producer, consumer), agenda=(flaw,))
     (reuse, _, reused), (new, child, fresh) = _deltas(plan, flaw, MINI2)
-    assert (reuse.kind, reused) == (REUSE, (True, False, {x, y}))
+    assert (reuse.kind, reused.reordered, reused.step_added, reused.rebound) == (REUSE, True, False, {x, y})
     assert new.kind == NEW_STEP and fresh is _UNBOUND[True, True]
     assert store_diff_delta(plan, child).rebound == {x, y}
 
@@ -768,10 +769,13 @@ def test_establishment_deltas_rebind_each_merged_class_of_the_parent():
     a parameter of `use` to K; twin's repeated parameter merges ?y's
     class with ?z's, and the merged class is led by ?y."""
     plan, opens, (w, xx, yy, zz) = _use_step_plan()
-    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["q"], _DELTAS)] == [(FROM_START, (False, False, {K}))]
-    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["p"], _DELTAS)] == [(NEW_STEP, (True, True, {K}))]
+    def got(open_):
+        return [(r.kind, d.reordered, d.step_added, d.rebound) for r, _, d in _deltas(plan, open_, _DELTAS)]
+
+    assert got(opens["q"]) == [(FROM_START, False, False, {K})]
+    assert got(opens["p"]) == [(NEW_STEP, True, True, {K})]
     assert yy.vid < zz.vid
-    assert [(r.kind, d) for r, _, d in _deltas(plan, opens["r"], _DELTAS)] == [(NEW_STEP, (True, True, {yy}))]
+    assert got(opens["r"]) == [(NEW_STEP, True, True, {yy})]
 
 
 def test_a_rewritten_disequality_rebinds_both_its_ends():
@@ -786,5 +790,5 @@ def test_a_rewritten_disequality_rebinds_both_its_ends():
     assert repair.kind == FROM_START and delta.rebound == {K, w}
     assert rederive_open_repairs(child, opens["p"], inherited, delta) == []
     assert enumerate_repairs(child, opens["p"], _DELTAS) == []
-    leaders = delta._replace(rebound=frozenset({K}))
+    leaders = replace(delta, rebound=frozenset({K}))
     assert rederive_open_repairs(child, opens["p"], inherited, leaders) == inherited

@@ -5,6 +5,7 @@ import copy
 import itertools
 import pickle
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from poclab.flaws import (
     PROMOTE,
     REUSE,
     SEPARATE,
+    Delta,
+    Repair,
     enumerate_open_repairs,
     enumerate_repairs,
     has_any_repair,
@@ -303,19 +306,35 @@ def test_node_records_print_as_before():
 
 
 def test_node_records_are_immutable_values():
-    """Each record built per child rejects assignment, copies equal but
-    distinct through _replace, and changes one field through it."""
+    """Each record built per child, and each Repair and Delta, keeps no
+    __dict__, compares by its fields and hashes as the tuple of them,
+    copies equal but distinct through dataclasses.replace, and changes
+    one field through it.  The records are immutable by contract: that
+    src/poclab assigns to no field once a record is built is checked in
+    its source, by test_package.py.  A plan does not hash, as its
+    binding store holds a dict."""
     plan = _hand_built_plan()
-    records = [(plan.steps[2], "name"), (plan.links[0], "consumer"), (plan.agenda[1], "kind"), (plan, "agenda")]
-    for record, field in records:
-        with pytest.raises(AttributeError):
-            setattr(record, field, getattr(record, field))
-        copy = record._replace()
+    move = plan.steps[2]
+    records = [
+        (move, "name", "stack"),
+        (plan.links[0], "consumer", GOAL_ID),
+        (plan.agenda[1], "cached_cost", 5),
+        (plan, "agenda", ()),
+        (Repair(REUSE, 2, move.effects[0]), "step", 3),
+        (Delta(True, False, frozenset(move.params)), "rebound", frozenset()),
+    ]
+    for record, field, value in records:
+        assert not hasattr(record, "__dict__")
+        values = tuple(getattr(record, f.name) for f in fields(record))
+        twin = type(record)(*values)
+        assert twin == record and twin is not record
+        if record is not plan:
+            assert hash(twin) == hash(record) == hash(values)
+        copy = replace(record)
         assert copy == record and copy is not record and type(copy) is type(record)
-    threat = plan.agenda[1]
-    costed = threat._replace(cached_cost=5)
-    assert costed.cached_cost == 5 and threat.cached_cost == 1
-    assert costed._replace(cached_cost=1) == threat
+        changed = replace(record, **{field: value})
+        assert getattr(changed, field) == value and changed != record
+        assert replace(changed, **{field: getattr(record, field)}) == record
 
 
 def test_a_searched_plan_pickles_and_compares_equal():

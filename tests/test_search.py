@@ -5,6 +5,7 @@ import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -175,7 +176,7 @@ def test_separable_threat_yields_five_children():
 def test_refinements_rejects_a_flaw_not_on_the_agenda():
     dom, probs = bundled("blocks")
     plan = make_skeletal_plan(dom, probs[0])
-    copy = plan.agenda[0]._replace()  # equal to an agenda flaw, but not that flaw
+    copy = replace(plan.agenda[0])  # equal to an agenda flaw, but not that flaw
     assert copy == plan.agenda[0] and copy is not plan.agenda[0]
     with pytest.raises(ValueError, match="not on the agenda"):
         refinements(plan, copy, dom)
@@ -433,7 +434,7 @@ def deltas_checked():
         log["built"] += len(out)
         for repair, (child, got) in zip(applied, out, strict=True):
             want = store_diff_delta(plan, child)
-            assert got[:2] == want[:2] and got.rebound <= want.rebound, (
+            assert (got.reordered, got.step_added) == (want.reordered, want.step_added) and got.rebound <= want.rebound, (
                 f"{repair} of {flaw}: delta {got}, store diff {want}"
             )
             extra = want.rebound - got.rebound
@@ -969,6 +970,60 @@ def test_cached_costs_are_repair_counts_in_the_child(domain, problem, name, syst
     config = SearchConfig(node_limit=2000, cost_mode="cached", systematic=systematic)
     plan_search(dom, prob, builtin(name), config, observer=Check())
     assert checked
+
+
+@pytest.mark.parametrize("rank_text", ["S+OC", "S+OC+UC"])
+@pytest.mark.parametrize(
+    "name, domain, problem", [("LCFR", "blocks", "invert4"), ("ZLIFO", "briefcase", "get-paid")],
+)
+def test_a_selected_flaw_has_its_list_made_once_under_cached_costs(monkeypatch, name, domain, problem, rank_text):
+    """Under cost_mode="cached", the list the search counts to cost a
+    node's new flaw is the one its refinement reads: on each expanded
+    node, the root's included, the selected flaw's repair list is
+    enumerated or re-derived once, whether the children are built at
+    their pop (S+OC) or at their push (S+OC+UC).  A node is told by
+    its stores, which `made` and `selected` keep alive; a flaw by its
+    insertion stamp, which its costed copy keeps."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    made = []  # (plan, flaw) of each list made
+    selected = []  # (node, flaw) of each expansion
+    costed = set()  # (node, stamp) of each flaw costed
+
+    def node(plan):
+        return (id(plan.steps), id(plan.links), id(plan.orderings), id(plan.bindings))
+
+    def making(fn):
+        def wrapper(*args, **kwargs):
+            made.append(args[:2])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def selecting(*args, **kwargs):
+        flaw = select_flaw(*args, **kwargs)
+        selected.append((args[1], flaw))
+        return flaw
+
+    def costing(table, flaws):
+        costed.update((node(table.plan), f.inserted_at) for f in flaws)
+        return cache_costs(table, flaws)
+
+    for owner, attr in (
+        (search, "enumerate_repairs"),
+        (strategies, "enumerate_repairs"),
+        (strategies, "rederive_open_repairs"),
+    ):
+        monkeypatch.setattr(owner, attr, making(getattr(owner, attr)))
+    cache_costs = search._with_cached_costs
+    monkeypatch.setattr(search, "select_flaw", selecting)
+    monkeypatch.setattr(search, "_with_cached_costs", costing)
+    config = SearchConfig(rank=parse_rank(rank_text), node_limit=10000, cost_mode="cached")
+    out = plan_search(dom, prob, builtin(name), config)
+    assert out.solved and len(selected) == out.stats.nodes_expanded > 5
+    counts = Counter((node(plan), f.inserted_at) for plan, f in made)
+    picks = [(node(plan), f.inserted_at) for plan, f in selected]
+    assert [counts[pick] for pick in picks] == [1] * len(picks)
+    assert any(pick in costed for pick in picks)  # some selected flaw was costed at its node
 
 
 GOLDEN_TOGGLED = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-toggled.json"

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -305,7 +306,7 @@ def test_new_prefers_sole_new_step_establisher():
     assert select_flaw(zlifo, plan, MINI) is p_flaw
     # swap insertion order: still the new-step flaw, not the LIFO winner
     swapped = plan.agenda[::-1]
-    plan2 = plan._replace(agenda=swapped)
+    plan2 = replace(plan, agenda=swapped)
     assert select_flaw(zlifo, plan2, MINI) is p_flaw
 
 
