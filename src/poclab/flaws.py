@@ -17,8 +17,8 @@ kernel.  Threat liveness is re-validated lazily, when the search
 refreshes a popped node's agenda, not eagerly on every constraint
 addition, and only what the refinement changed is re-tested: every
 threat is re-tested against the orderings only if the refinement
-reordered, and against the bindings only if it rebound a class of the
-parent's terms (refresh_agenda with the node's Delta).
+reordered, and each against the bindings only if the node's Delta
+touches its terms (Delta.touches, read by rederive_open_repairs too).
 
 The costs and the refinements share one scan per flaw kind: a cost is
 the length of the enumeration, and each enumerated repair becomes a
@@ -219,27 +219,27 @@ def detect_new_threats(
 # refresh
 
 
-def refresh_flaw(plan: PartialPlan, flaw: Flaw, span: bool = True, kinds: bool = True) -> Flaw | None:
+def refresh_flaw(plan: PartialPlan, flaw: Flaw, delta: Delta | None = None) -> Flaw | None:
     """None when the flaw has vanished; a reclassified copy when a
     separable threat's unification became forced; otherwise the flaw
-    itself.  Opens are live until linked.  span=False skips a threat's
-    ordering test, for a threat whose orderings are those it was last
-    found live in; kinds=False skips its unification, for a threat
-    found live in a plan none of whose terms has since changed class
-    or gained a disequality."""
+    itself.  Opens are live until linked.  With `delta`, the Delta that
+    made `plan` from one where the threat was live with its kind, its
+    ordering test runs only if delta.reordered, and its unification only
+    if the Delta touches the effect's or the link condition's terms."""
     if flaw.kind == OPEN:
         return flaw
     link = flaw.link
     s = flaw.step
-    if span:
+    if delta is None or delta.reordered:
         succ = plan.orderings.succ
         if (succ[s] >> link.producer) & 1 or (succ[link.consumer] >> s) & 1:
             return None
-    if not kinds:
+    store = plan.bindings
+    if delta is not None and not (delta.rebound and delta.touches(flaw.literal.args + link.condition.args, store)):
         return flaw
     # systematic=True only widens the test to same-sign pairs, and a
     # same-sign flaw can only exist if that mode created it.
-    kind = _threat_kind(flaw.literal, link.condition, plan.bindings, systematic=True)
+    kind = _threat_kind(flaw.literal, link.condition, store, systematic=True)
     if kind is None:
         return None
     if kind == flaw.kind:
@@ -252,22 +252,17 @@ def refresh_agenda(plan: PartialPlan, delta: Delta | None = None) -> PartialPlan
     Returns the same object when nothing changed.
 
     Without `delta`, every threat is re-tested.  With `delta`, what the
-    refinement that made `plan` changed, each threat's ordering test
-    runs only if delta.reordered, and its unification only if
-    delta.rebound names a class.  An inherited threat was live, with its
-    kind, in the expanded node; one the refinement found was found
-    against the plan's own stores, so its re-test gives it back."""
-    span = kinds = True
-    if delta is not None:
-        span = delta.reordered
-        kinds = bool(delta.rebound)
-        if not (span or kinds):
-            return plan
+    refinement that made `plan` changed, each is re-tested only as
+    refresh_flaw says (Delta.touches).  An inherited threat was live,
+    with its kind, in the expanded node; one the refinement found was
+    found against the plan's own stores, so its re-test gives it back."""
+    if delta is not None and not (delta.reordered or delta.rebound):
+        return plan
     refreshed: list[Flaw] = []
     changed = False
     for f in plan.agenda:
         if f.kind != OPEN:
-            r = refresh_flaw(plan, f, span, kinds)
+            r = refresh_flaw(plan, f, delta)
             if r is not f:
                 changed = True
                 if r is None:
@@ -346,6 +341,15 @@ class Delta:
     step_added: bool  # the child appended a step (a refinement appends at most one)
     rebound: frozenset[Term]
 
+    def touches(self, terms: tuple[Term, ...], store: BindingStore) -> bool:
+        """Does the child's `store` put one of `terms` in a class named in
+        `rebound`?  If not, a codesignation test over `terms` answers as
+        in the parent: the union kernel reads only their classes and the
+        disequalities between them, and a class whose members and
+        disequalities did not change answers every such question as
+        before.  The one rule for what a refinement changed."""
+        return not self.rebound.isdisjoint(map(store._rep.get, terms, terms))
+
 
 # Shared: every built child's frontier entry holds its Delta, and most children
 # rebind no term of their parent.
@@ -364,17 +368,16 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     step, plus closed-world support for a negative condition that no
     initial atom can match any more.  A repair is re-tested only against
     what changed: its reuse ordering when the orderings did, its unification
-    when a class of the condition's or of the effect's terms did.  The
-    order is the enumeration's, and an unchanged list is `parent`
-    itself."""
+    when the Delta touches the condition's or the effect's terms
+    (Delta.touches).  The order is the enumeration's, and an unchanged
+    list is `parent` itself."""
     reordered, step_added, rebound = delta.reordered, delta.step_added, delta.rebound
     if not (reordered or step_added or rebound):
         return parent
     cond = flaw.literal
     store = plan.bindings
-    get = store._rep.get
     after = plan.orderings.succ[flaw.step]
-    touched = bool(rebound) and not rebound.isdisjoint(map(get, cond.args, cond.args))
+    touched = bool(rebound) and delta.touches(cond.args, store)
     out: list[Repair] = []
     if (
         touched
@@ -391,11 +394,7 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
         elif eff is not None:  # init or reuse; the closed world, once it holds, keeps holding
             if reordered and r.kind == REUSE and (after >> r.step) & 1:
                 continue
-            if (
-                rebound
-                and (touched or not rebound.isdisjoint(map(get, eff.args, eff.args)))
-                and not args_unifiable(cond, eff, store)
-            ):
+            if rebound and (touched or delta.touches(eff.args, store)) and not args_unifiable(cond, eff, store):
                 continue
         out.append(r)
     if step_added:  # the new step's reuse goes after the older steps'

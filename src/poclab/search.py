@@ -42,10 +42,10 @@ refinements() made with the child) when the plan is a built child, or
 parent, whose pop builds the child.  The Delta says whether the
 refinement reordered, whether it added a step, and which classes of the
 parent's terms it rebound.  When a child is popped, its agenda refresh
-re-tests only what the Delta says changed, and it re-checks the
-inherited lists (strategies.RepairTable) against the same Delta instead
-of enumerating the opens again; the dead-end probe reads them, and asks
-flaws.has_any_repair only of flaws with no inherited list, which
+and its re-check of the inherited lists (strategies.RepairTable, in
+place of enumerating the opens again) re-test only what the Delta
+touches (flaws.Delta.touches); the dead-end probe reads the lists, and
+asks flaws.has_any_repair only of flaws with no inherited list, which
 answers most of those from the domain and the orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
@@ -242,7 +242,8 @@ def _with_cached_costs(table: RepairTable, flaws: tuple[Flaw, ...]) -> tuple[Fla
     in; `table` keeps each list it counts for the costed flaw."""
     costed = []
     for f in flaws:
-        repairs = table.counted[f.inserted_at] = enumerate_repairs(table.plan, f, table.domain)
+        hit = table._lists.get(id(f))  # (f, its list) if the dmin test has read it
+        repairs = table.counted[f.inserted_at] = hit[1] if hit else enumerate_repairs(table.plan, f, table.domain)
         costed.append(Flaw(f.kind, f.step, f.literal, f.link, f.inserted_at, len(repairs)))
     return tuple(costed)
 
@@ -314,7 +315,6 @@ def refinements(
         threats = detect_new_threats(child, new_step, link, config.systematic)
         if threats:
             added += tuple([Flaw(k, sid, eff, lk, next(ctx.stamps)) for k, sid, eff, lk in threats])
-        if threats:
             child = PartialPlan(steps, links, orderings, bindings, rest + added)
         delta = _UNBOUND[orderings is not plan.orderings, new_step is not None]
         if bindings is not old:

@@ -300,12 +300,14 @@ def test_dmin_feasible():
         ("ZLIFO", "briefcase", "get-paid", SearchConfig(), (strategies, "_new_step_rank")),
         # the dmin test enumerates nonseparable threats before selection
         ("UCPOP", "blocks", "invert4", SearchConfig(dmin_check=True), (search, "dmin_feasible")),
+        # a new threat the dmin test has listed is costed from its list
+        ("LCFR", "blocks", "invert4", SearchConfig(cost_mode="cached", dmin_check=True), (search, "dmin_feasible")),
     ],
 )
 def test_each_flaw_is_enumerated_at_most_once_per_node(monkeypatch, name, domain, problem, config, exercised):
-    """Selection, New tie-breaking, the dmin test and refinement share
-    one repair list per (node, flaw); selecting with it picks the flaw
-    that selecting afresh picks."""
+    """Selection, New tie-breaking, the dmin test, cached costing and
+    refinement share one repair list per (node, flaw); selecting with it
+    picks the flaw that selecting afresh picks."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
     strategy = builtin(name)
@@ -605,26 +607,50 @@ def refreshes_checked():
     node's Delta must equal the full re-test refresh_agenda(node): the
     same flaws in the same order with the same kinds, and the node
     itself back exactly when the full re-test gives it back.  Yields
-    counts of the refreshes checked and of the threats whose ordering
-    test or unification the Delta let them skip."""
+    counts of the refreshes checked, of the threats whose ordering test
+    the Delta let them skip, of those whose unification it let them
+    skip by Delta.touches ("kinds skipped"), of the latter whose Delta
+    rebound some class, and of the unifications the refreshes ran
+    ("unified") against those the rule leaves them ("unified by rule")."""
     log = Counter()
     refresh = search.refresh_agenda
+    classify = flaws._threat_kind
+    unified = []
+
+    def counted(*args, **kwargs):
+        unified.append(None)
+        return classify(*args, **kwargs)
 
     def checked(plan, delta=None):
+        unified.clear()
         got = refresh(plan, delta)
+        ran = len(unified)
         want = refresh(plan)
-        assert [(f.kind, f.inserted_at) for f in got.agenda] == [(f.kind, f.inserted_at) for f in want.agenda]
-        assert got.agenda == want.agenda and (got is plan) == (want is plan)
+        differs = "the refresh with the Delta differs from a full refresh"
+        assert [(f.kind, f.inserted_at) for f in got.agenda] == [(f.kind, f.inserted_at) for f in want.agenda], differs
+        assert got.agenda == want.agenda and (got is plan) == (want is plan), differs
         if delta is not None:
             log["refreshes"] += 1
+            log["unified"] += ran
+            succ = plan.orderings.succ
             for f in plan.agenda:
-                if f.kind != OPEN:
-                    log["spans skipped"] += not delta.reordered
-                    log["kinds skipped"] += not delta.rebound
+                if f.kind == OPEN:
+                    continue
+                link = f.link
+                if not delta.reordered:
+                    log["spans skipped"] += 1
+                elif (succ[f.step] >> link.producer) & 1 or (succ[link.consumer] >> f.step) & 1:
+                    continue  # out of the link's span: dropped before its unification
+                if delta.touches(f.literal.args, plan.bindings) or delta.touches(link.condition.args, plan.bindings):
+                    log["unified by rule"] += 1
+                else:
+                    log["kinds skipped"] += 1
+                    log["kinds skipped, rebound"] += bool(delta.rebound)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "refresh_agenda", checked)
+        mp.setattr(flaws, "_threat_kind", counted)
         yield log
 
 
@@ -636,22 +662,45 @@ def refreshes_checked():
     [("blocks", "sussman"), ("briefcase", "get-paid-bc-at-work"), ("tileworld", "tileworld-3")],
 )
 def test_refresh_with_the_delta_equals_a_full_refresh(domain, problem, name, rank, systematic):
+    """Each refresh also unifies exactly the threats Delta.touches."""
     dom, probs = bundled(domain)
     prob = next(p for p in probs if p.name == problem)
     config = SearchConfig(rank=parse_rank(rank), node_limit=2000, systematic=systematic)
     with refreshes_checked() as log:
         plan_search(dom, prob, builtin(name), config)
-    assert log["refreshes"]
+    assert log["refreshes"] and log["unified"] == log["unified by rule"]
 
 
 def test_the_delta_lets_the_refresh_skip_both_tests():
     """The differential test above is not vacuous: on tileworld-3 each
-    kind of skip happens."""
+    kind of skip happens, and some threats keep their kind unchecked in
+    a child that rebound a class of the parent's terms, just not one of
+    theirs."""
     dom, probs = bundled("tileworld")
     prob = next(p for p in probs if p.name == "tileworld-3")
     with refreshes_checked() as log:
         plan_search(dom, prob, builtin("UCPOP"), SearchConfig(node_limit=2000, systematic=True))
-    assert log["spans skipped"] and log["kinds skipped"]
+    assert log["spans skipped"] and log["kinds skipped"] and log["kinds skipped, rebound"]
+    assert log["unified"] == log["unified by rule"]
+
+
+def test_a_refresh_that_skips_a_touched_threat_fails_the_check(monkeypatch):
+    """A mutant refresh that reads only the effect's terms, so skips the
+    unification of a threat the Delta touches only through its link
+    condition, gives a different agenda than the full re-test."""
+    refresh_flaw = flaws.refresh_flaw
+
+    def effect_only(plan, flaw, delta=None):
+        if delta is not None and flaw.kind != OPEN and not delta.touches(flaw.literal.args, plan.bindings):
+            delta = replace(delta, rebound=frozenset())
+        return refresh_flaw(plan, flaw, delta)
+
+    monkeypatch.setattr(flaws, "refresh_flaw", effect_only)
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    config = SearchConfig(rank=parse_rank("S+OC+UC"), node_limit=2000)
+    with pytest.raises(AssertionError, match="differs from a full refresh"), refreshes_checked():
+        plan_search(dom, prob, builtin("ZLIFO"), config)
 
 
 @settings(max_examples=160, deadline=None)
@@ -664,8 +713,9 @@ def test_the_delta_lets_the_refresh_skip_both_tests():
 def test_refresh_with_the_delta_equals_a_full_refresh_on_random_domains(case, name, full_rank, systematic):
     dom, prob = case
     config = SearchConfig(rank=parse_rank("S+OC+UC" if full_rank else "S+OC"), node_limit=150, systematic=systematic)
-    with refreshes_checked():
+    with refreshes_checked() as log:
         plan_search(dom, prob, builtin(name), config)
+    assert log["unified"] == log["unified by rule"]
 
 
 @contextmanager
