@@ -160,6 +160,7 @@ def _print_stats(stats: SearchStats):
     print(f"nodes pruned: {stats.nodes_pruned}")
     print(f"max frontier: {stats.max_frontier}")
     print(f"children built: {stats.children_built}")
+    print(f"children doomed: {stats.children_doomed}")
     print(f"flaws costed: {stats.flaws_costed}")
     print(f"wall seconds: {stats.wall_seconds:.3f}")
     print(f"grounded variables: {stats.grounded_variables}")

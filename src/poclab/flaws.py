@@ -26,8 +26,8 @@ child.  The dead-end probe answers whether that scan would find
 anything, from the domain and the orderings where they settle it: an
 open condition of a key in Domain.always_establishable has a new-step
 repair under any bindings; a separable threat always has a
-separation, and a nonseparable one has repairs if
-enumerate_threat_repairs finds promotion or demotion.  Any other open
+separation, and a nonseparable one has repairs if promotion or
+demotion is consistent with the orderings (orderable).  Any other open
 condition (in the bundled domains, one that no operator establishes)
 is enumerated to its first hit in the enumeration's order, init, then
 library, never trying the plan's other steps, which are library
@@ -335,11 +335,16 @@ class Delta:
     child's representative of every class that holds a term of the
     parent and whose members or disequalities changed.  A class that
     gained only a new step's fresh parameters is left out, since no term
-    of the parent changed class."""
+    of the parent changed class.  `doomed` marks a child that gained a
+    nonseparable threat neither promotion nor demotion repairs in its
+    own orderings (orderable): the threat was found against the child's
+    own stores, so its refresh gives it back, and the dead-end probe
+    answers False for it."""
 
     reordered: bool  # the child's orderings are not the parent's object
     step_added: bool  # the child appended a step (a refinement appends at most one)
     rebound: frozenset[Term]
+    doomed: bool = False  # a threat the child gained is nonseparable and not orderable
 
     def touches(self, terms: tuple[Term, ...], store: BindingStore) -> bool:
         """Does the child's `store` put one of `terms` in a class named in
@@ -356,10 +361,10 @@ class Delta:
 _UNBOUND = {(o, s): Delta(o, s, frozenset()) for o in (False, True) for s in (False, True)}
 
 
-def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], delta: Delta) -> list[Repair]:
+def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], row: int, delta: Delta) -> list[Repair]:
     """enumerate_open_repairs(plan, flaw, domain), derived from the
-    open condition's repairs `parent` in the plan this one was refined
-    from, given the Delta between them.
+    open condition's repairs `parent` and its step's successor row `row`
+    in the plan this one was refined from, given the Delta between them.
 
     A refinement only adds constraints: bindings merge classes or keep
     classes apart, orderings grow, steps are appended.  So a repair
@@ -367,16 +372,26 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
     is the parent's repairs that still hold, plus reuse of the appended
     step, plus closed-world support for a negative condition that no
     initial atom can match any more.  A repair is re-tested only against
-    what changed: its reuse ordering when the orderings did, its unification
-    when the Delta touches the condition's or the effect's terms
-    (Delta.touches).  The order is the enumeration's, and an unchanged
-    list is `parent` itself."""
-    reordered, step_added, rebound = delta.reordered, delta.step_added, delta.rebound
-    if not (reordered or step_added or rebound):
+    what moved.  Reuse orderings are re-tested only if the open's own
+    successor row differs from `row`; a new step is ordered after the
+    start step alone, so it moves no row of another step.  A
+    unification is re-tested only if the Delta touches the condition's
+    or the effect's terms (Delta.touches).  When it touches none of the
+    condition's terms, only the reuse repairs are re-unified: an initial
+    atom is ground, and whether a condition unifies with a ground atom
+    depends only on the condition's classes, their constants and their
+    disequalities, with each other and with the atom's constants.  A
+    class that gained a member or a disequality is rebound, so an
+    untouched condition's classes are as in the parent, and it unifies
+    with the atom as before.  The order is the enumeration's, and an
+    unchanged list is `parent` itself."""
+    step_added, rebound = delta.step_added, delta.rebound
+    after = plan.orderings.succ[flaw.step]
+    moved = after != row
+    if not (moved or step_added or rebound):
         return parent
     cond = flaw.literal
     store = plan.bindings
-    after = plan.orderings.succ[flaw.step]
     touched = bool(rebound) and delta.touches(cond.args, store)
     out: list[Repair] = []
     if (
@@ -386,17 +401,26 @@ def rederive_open_repairs(plan: PartialPlan, flaw: Flaw, parent: list[Repair], d
         and _closed_world(cond, store, plan.steps[START_ID])
     ):
         out.append(_CLOSED_WORLD)
-    for r in parent:
-        eff = r.effect
-        if r.kind == NEW_STEP:
-            if touched and not schema_effect_unifies(cond, eff, store):
-                continue
-        elif eff is not None:  # init or reuse; the closed world, once it holds, keeps holding
-            if reordered and r.kind == REUSE and (after >> r.step) & 1:
-                continue
-            if rebound and (touched or delta.touches(eff.args, store)) and not args_unifiable(cond, eff, store):
-                continue
-        out.append(r)
+    if moved or rebound:
+        for r in parent:
+            kind = r.kind
+            if kind == REUSE:
+                if moved and (after >> r.step) & 1:
+                    continue
+                eff = r.effect
+                if rebound and (touched or delta.touches(eff.args, store)) and not args_unifiable(cond, eff, store):
+                    continue
+            elif touched:
+                eff = r.effect
+                if kind == NEW_STEP:
+                    keep = schema_effect_unifies(cond, eff, store)
+                else:  # init; the closed world (no effect), once it holds, keeps holding
+                    keep = eff is None or args_unifiable(cond, eff, store)
+                if not keep:
+                    continue
+            out.append(r)
+    else:
+        out += parent
     if step_added:  # the new step's reuse goes after the older steps'
         at = len(out)
         while at and out[at - 1].kind == NEW_STEP:
@@ -413,6 +437,15 @@ def threat_ordering(flaw: Flaw, kind: str) -> tuple[int, int]:
     before the threatening step, demotion the step before the link's
     producer."""
     return (flaw.link.consumer, flaw.step) if kind == PROMOTE else (flaw.step, flaw.link.producer)
+
+
+def orderable(succ: tuple[int, ...], flaw: Flaw) -> bool:
+    """Does enumerate_threat_repairs find promotion or demotion for the
+    threat `flaw` in the successor rows `succ`?  The dead-end probe's
+    answer for a nonseparable threat, read by search.refinements too."""
+    link = flaw.link
+    s = flaw.step
+    return not (succ[s] >> link.consumer) & 1 or (s != link.producer and not (succ[link.producer] >> s) & 1)
 
 
 def enumerate_threat_repairs(plan: PartialPlan, flaw: Flaw) -> list[Repair]:
@@ -461,7 +494,7 @@ def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
     domain.always_establishable has a new-step repair; any other is
     enumerated to its first hit.  A separable threat has a separation
     (its arguments do not all codesignate yet); a nonseparable one is
-    live when enumerate_threat_repairs finds promotion or demotion."""
+    live when promotion or demotion is consistent (orderable)."""
     if flaw.kind == OPEN:
         cond = flaw.literal
         return (cond.pred, cond.positive) in domain.always_establishable or bool(
@@ -469,4 +502,4 @@ def has_any_repair(plan: PartialPlan, flaw: Flaw, domain: Domain) -> bool:
         )
     if flaw.kind == SEPARABLE:
         return True
-    return bool(enumerate_threat_repairs(plan, flaw))
+    return orderable(plan.orderings.succ, flaw)

@@ -35,18 +35,27 @@ LIFO/FIFO, the union kernel's lowest-(vid, name) leader and
 plan.ground_assignment's class order read, is the same, and so are
 every node count and every solution.
 A frontier entry carries a rank, its tie-break, a plan, its parent's
-open-condition repair lists (one dict, shared by all the children of
-one expansion) and one of two pairs: (None, the Delta that
-refinements() made with the child) when the plan is a built child, or
-(the parent's selected flaw, the repair to apply) when the plan is the
-parent, whose pop builds the child.  The Delta says whether the
-refinement reordered, whether it added a step, and which classes of the
-parent's terms it rebound.  When a child is popped, its agenda refresh
-and its re-check of the inherited lists (strategies.RepairTable, in
-place of enumerating the opens again) re-test only what the Delta
-touches (flaws.Delta.touches); the dead-end probe reads the lists, and
-asks flaws.has_any_repair only of flaws with no inherited list, which
-answers most of those from the domain and the orderings.
+successor rows and open-condition repair lists (one pair, shared by all
+the children of one expansion) and one of two pairs: (None, the Delta
+that refinements() made with the child) when the plan is a built child,
+or (the parent's selected flaw, the repair to apply) when the plan is
+the parent, whose pop builds the child.  The Delta says whether the
+refinement reordered, whether it added a step, which classes of the
+parent's terms it rebound, and whether the child is doomed: whether one
+of its new threats is nonseparable and can be neither promoted nor
+demoted.  A popped node pays only for what its refinement changed.
+Under dead-end pruning a doomed child is counted as pruned at its pop,
+with no refresh and no probe: its new threat was found against its own
+stores, so the refresh would give it back, and the probe would answer
+False for it.  Any other child's agenda refresh and its re-check of the
+inherited lists (strategies.RepairTable, in place of enumerating the
+opens again) re-test only what the Delta touches (flaws.Delta.touches),
+and an inherited list's reuse orderings only when the open's own row
+differs from the parent's.  The dead-end probe reads the agenda newest
+first, since the refinement's own flaws are where it makes dead ends;
+it reads the lists, and asks flaws.has_any_repair only of flaws with no
+inherited list, which answers most of those from the domain and the
+orderings.
 Both limits, nodes and time, are checked after each expansion, so a run
 can overshoot its node limit by one batch of children; %-overrun
 accounting clamps to the nominal limit.
@@ -83,6 +92,7 @@ from .flaws import (
     detect_new_threats,
     enumerate_repairs,
     has_any_repair,
+    orderable,
     refresh_agenda,
     threat_ordering,
 )
@@ -206,6 +216,7 @@ class SearchStats:
     seed: int = 0
     grounded_variables: int = 0
     children_built: int = 0  # children refinements() built, at push or at pop
+    children_doomed: int = 0  # of those, the ones it marked doomed (Delta.doomed)
     flaws_costed: int = 0  # insertion-time costings in cached-cost mode, the root's included
 
 
@@ -270,7 +281,10 @@ def refinements(
     and of an init or reuse effect, whose representative changed (a new
     step's effect holds no term of the parent but constants, which lead
     their classes), and both ends of every disequality the parent
-    lacks."""
+    lacks.  It marks the child doomed when one of the threats it adds
+    is nonseparable and has neither promotion nor demotion in the
+    child's orderings (flaws.orderable, the dead-end probe's own test);
+    only an establishment adds threats."""
     config = config or SearchConfig()
     ctx = ctx or SearchContext.resuming(plan)
     if repairs is None:
@@ -313,21 +327,23 @@ def refinements(
         orderings = orderings.with_ordering(producer, flaw.step)
         child = PartialPlan(steps, links, orderings, bindings, rest + added)
         threats = detect_new_threats(child, new_step, link, config.systematic)
+        doomed = False
         if threats:
-            added += tuple([Flaw(k, sid, eff, lk, next(ctx.stamps)) for k, sid, eff, lk in threats])
+            new = [Flaw(k, sid, eff, lk, next(ctx.stamps)) for k, sid, eff, lk in threats]
+            added += tuple(new)
             child = PartialPlan(steps, links, orderings, bindings, rest + added)
-        delta = _UNBOUND[orderings is not plan.orderings, new_step is not None]
+            doomed = any(f.kind == NONSEPARABLE and not orderable(orderings.succ, f) for f in new)
+        rebound = []
         if bindings is not old:
             was, now = old._rep.get, bindings._rep.get
-            rebound = []
             for t in flaw.literal.args if new_step else flaw.literal.args + effect.args:
                 r = now(t, t)
                 if r != was(t, t):
                     rebound.append(r)
             if bindings._neq is not old._neq:
                 rebound += [t for pair in bindings._neq - old._neq for t in pair]
-            if rebound:
-                delta = Delta(delta.reordered, delta.step_added, frozenset(rebound))
+        changed = (orderings is not plan.orderings, new_step is not None)
+        delta = Delta(*changed, frozenset(rebound), doomed) if rebound or doomed else _UNBOUND[changed]
         children.append((child, delta))
     return children
 
@@ -404,6 +420,7 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
     frontier: list[tuple] = [(rank(root, config.rank), 0, root, None, None, _UNBOUND[False, False])]
     stats.max_frontier = 1
     on_expand = getattr(observer, "on_expand", None)
+    prune = config.dead_end_pruning
     w_steps, w_open = config.rank.w_steps, config.rank.w_open
     build_at_pop = config.rank.w_threats == 0 and on_expand is None
 
@@ -416,6 +433,10 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
         if flaw is not None:  # `node` is the parent and `delta` the repair
             ((node, delta),) = refinements(node, flaw, domain, config, ctx, (delta,))
             stats.children_built += 1
+            stats.children_doomed += delta.doomed
+        if delta.doomed and prune:
+            stats.nodes_pruned += 1  # a dead end: the probe would answer False for a new threat
+            continue
         node = refresh_agenda(node, delta)
         if not node.agenda:
             result = validate_solution(node, domain, problem)
@@ -427,11 +448,12 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
             stats.nodes_pruned += 1  # a dead end: its separations leave no grounding
             continue
 
-        # each flaw's list made at most once per node
+        # each flaw's list made at most once per node; the probe reads
+        # the newest flaws first, where the refinement made its dead ends
         table = RepairTable(node, domain, lists, delta)
-        if config.dead_end_pruning and any(
+        if prune and any(
             not (table.repairs(f) if f.inserted_at in table.inherited else has_any_repair(node, f, domain))
-            for f in node.agenda
+            for f in reversed(node.agenda)
         ):
             stats.nodes_pruned += 1
             continue
@@ -469,6 +491,7 @@ def _search(domain: Domain, problem: Problem, strategy: Strategy, config: Search
             if on_expand is not None:
                 on_expand(node, flaw, [child for child, _ in children])
             for child, delta in children:
+                stats.children_doomed += delta.doomed
                 stats.nodes_generated += 1
                 heapq.heappush(frontier, (rank(child, config.rank), -stats.nodes_generated, child, lists, None, delta))
         if len(frontier) > stats.max_frontier:

@@ -259,28 +259,31 @@ class RepairTable:
     by flaw identity (agenda entries are distinct objects); each entry
     holds its flaw, so the id cannot be reused while the table lives.
 
-    `inherited` maps an open condition's insertion stamp to its list in
-    the node's parent, and `delta` is the Delta that search.refinements
-    made with the node, what the refinement from the parent changed:
-    such a list is re-checked against it (rederive_open_repairs), not
-    enumerated again.  The search's
-    dead-end probe reads the inherited lists, and the search passes
-    this node's open-condition lists on to its children (open_lists).
-    `counted` holds, by insertion stamp, the lists the search made to
-    cost the node's new flaws: repairs() gives one to the costed copy
-    of its flaw instead of enumerating again, and open_lists hands it
-    on only once repairs() has given it, as if it were made then."""
+    `inherited` is what the node's parent handed on (open_lists): the
+    parent's successor rows and its open conditions' lists by insertion
+    stamp.  `delta` is the Delta that search.refinements made with the
+    node, what the refinement from the parent changed.  An inherited
+    list is re-checked against the two (rederive_open_repairs), not
+    enumerated again: its reuse orderings only if the open's own row
+    moved, its unifications only where the Delta touches their terms.
+    The search's dead-end probe reads the inherited lists, and the
+    search passes this node's open-condition lists on to its children
+    (open_lists).  `counted` holds, by insertion stamp, the lists the
+    search made to cost the node's new flaws: repairs() gives one to the
+    costed copy of its flaw instead of enumerating again, and open_lists
+    hands it on only once repairs() has given it, as if it were made
+    then."""
 
     def __init__(
         self,
         plan: PartialPlan,
         domain: Domain,
-        inherited: dict[int, list[Repair]] | None = None,
+        inherited: tuple[tuple[int, ...], dict[int, list[Repair]]] | None = None,
         delta: Delta | None = None,
     ):
         self.plan = plan
         self.domain = domain
-        self.inherited = inherited or {}
+        self.rows, self.inherited = inherited or ((), {})
         self.delta = delta
         self._lists: dict[int, tuple[Flaw, list[Repair]]] = {}
         self.counted: dict[int, list[Repair]] = {}
@@ -290,7 +293,7 @@ class RepairTable:
         if hit is None:
             parent = self.inherited.get(flaw.inserted_at)
             if parent is not None:
-                repairs = rederive_open_repairs(self.plan, flaw, parent, self.delta)
+                repairs = rederive_open_repairs(self.plan, flaw, parent, self.rows[flaw.step], self.delta)
             else:
                 repairs = self.counted.get(flaw.inserted_at)
                 if repairs is None:
@@ -298,12 +301,13 @@ class RepairTable:
             hit = self._lists[id(flaw)] = (flaw, repairs)
         return hit[1]
 
-    def open_lists(self, selected: Flaw) -> dict[int, list[Repair]] | None:
-        """The open conditions' lists by insertion stamp, but `selected`'s,
-        for the children of this node to inherit; None when there are
-        none, as for a strategy that reads no cost."""
+    def open_lists(self, selected: Flaw) -> tuple[tuple[int, ...], dict[int, list[Repair]]] | None:
+        """The node's successor rows and its open conditions' lists by
+        insertion stamp, but `selected`'s, for the children of this node
+        to inherit; None when there are no lists, as for a strategy that
+        reads no cost."""
         lists = {f.inserted_at: r for f, r in self._lists.values() if f.kind == OPEN and f is not selected}
-        return lists or None
+        return (self.plan.orderings.succ, lists) if lists else None
 
     def cost(self, flaw: Flaw, cached: bool = False) -> int:
         """The one definition of a repair cost: with cached costs, the

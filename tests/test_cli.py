@@ -8,6 +8,8 @@ import pytest
 from helpers import format_domain, format_problem
 from poclab.cli import main
 from poclab.domains import bundled
+from poclab.search import SearchConfig, plan_search
+from poclab.strategies import builtin
 
 
 def run(capsys, *argv):
@@ -26,6 +28,18 @@ def test_plan_bundled_blocks_lcfr(capsys):
     assert "nodes generated:" in out
     assert "children built:" in out
     assert "flaws costed: 0" in out
+
+
+def test_plan_prints_the_children_marked_doomed(capsys):
+    code, out, err = run(
+        capsys, "plan", "--bundled", "tileworld", "--problem", "tileworld-3", "--builtin", "LCFR",
+        "--node-limit", "2000",
+    )
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    stats = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=2000)).stats
+    assert code == 0 and stats.children_doomed > 0
+    assert f"children built: {stats.children_built}\nchildren doomed: {stats.children_doomed}\n" in out
 
 
 def test_plan_failure_exit_code(capsys):

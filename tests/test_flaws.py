@@ -788,7 +788,8 @@ def test_a_rewritten_disequality_rebinds_both_its_ends():
     assert [(r.kind, r.operator.name, r.effect_index) for r in inherited] == [(NEW_STEP, "mk", 0)]
     [(repair, child, delta)] = _deltas(plan, opens["q"], _DELTAS)
     assert repair.kind == FROM_START and delta.rebound == {K, w}
-    assert rederive_open_repairs(child, opens["p"], inherited, delta) == []
+    row = plan.orderings.succ[opens["p"].step]
+    assert rederive_open_repairs(child, opens["p"], inherited, row, delta) == []
     assert enumerate_repairs(child, opens["p"], _DELTAS) == []
     leaders = replace(delta, rebound=frozenset({K}))
-    assert rederive_open_repairs(child, opens["p"], inherited, leaders) == inherited
+    assert rederive_open_repairs(child, opens["p"], inherited, row, leaders) == inherited

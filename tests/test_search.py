@@ -35,6 +35,7 @@ from poclab.plan import (
     GOAL_ID,
     NONSEPARABLE,
     OPEN,
+    SEPARABLE,
     START_ID,
     CausalLink,
     Flaw,
@@ -396,23 +397,43 @@ def test_every_traced_search_name_is_still_called(monkeypatch, rank_text, built_
 def rederivations_checked(dom):
     """While active, every re-derived repair list must equal a fresh
     enumeration on the same plan and flaw: the same repairs in the same
-    order.  Yields the (parent list, derived list) of each derivation."""
+    order.  Yields the (parent list, derived list, routes) of each
+    derivation.  Its routes name the bounds it took: "unmoved row" when
+    the orderings changed but the open's own successor row did not, so
+    no reuse ordering was re-tested; "untouched condition" when the
+    bindings changed but none of the condition's classes, so only the
+    reuse repairs whose effect terms the Delta touches were re-unified;
+    "full re-test" when it took neither bound and the row moved or the
+    condition was touched."""
     log = []
     derive = strategies.rederive_open_repairs
 
-    def checked(plan, flaw, parent, delta):
-        got = derive(plan, flaw, parent, delta)
+    def checked(plan, flaw, parent, row, delta):
+        got = derive(plan, flaw, parent, row, delta)
         want = flaws.enumerate_repairs(plan, flaw, dom)
         assert got == want, (
             f"{flaw} after delta {delta}: re-derived {got}"
             f" != enumerated {want}"
         )
-        log.append((parent, got))
+        moved = plan.orderings.succ[flaw.step] != row
+        touched = delta.touches(flaw.literal.args, plan.bindings)
+        routes = []
+        if delta.reordered and not moved:
+            routes.append("unmoved row")
+        if delta.rebound and not touched:
+            routes.append("untouched condition")
+        if not routes and (moved or touched):
+            routes.append("full re-test")
+        log.append((parent, got, tuple(routes)))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "rederive_open_repairs", checked)
         yield log
+
+
+def _routes(log) -> Counter:
+    return Counter(route for _, _, routes in log for route in routes)
 
 
 @contextmanager
@@ -531,7 +552,7 @@ def test_rederivation_gains_the_repairs_a_delta_adds(dom, prob, gained):
     with rederivations_checked(dom) as log:
         out = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=100))
     assert out.solved
-    assert any(any(gained(r) for r in got) and not any(gained(r) for r in parent) for parent, got in log)
+    assert any(any(gained(r) for r in got) and not any(gained(r) for r in parent) for parent, got, _ in log)
 
 
 @settings(max_examples=60, deadline=None)
@@ -543,6 +564,68 @@ def test_rederived_repairs_equal_a_fresh_enumeration_on_random_domains(case, nam
     dom, prob = case
     with rederivations_checked(dom):
         plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150, dead_end_pruning=pruning))
+
+
+_ROUTES = {"unmoved row", "untouched condition", "full re-test"}
+
+
+@pytest.mark.parametrize("rank_text", ["S+OC", "S+OC+UC"])
+def test_each_rederivation_route_runs(rank_text):
+    """On LCFR/tileworld-3 some lists are re-derived by each route: the
+    differential check above is not vacuous for any bound."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    with rederivations_checked(dom) as log:
+        plan_search(dom, prob, builtin("LCFR"), SearchConfig(rank=parse_rank(rank_text), node_limit=2000))
+    assert set(_routes(log)) == _ROUTES
+
+
+def test_each_rederivation_route_runs_on_random_domains():
+    """The same over a fixed set of threat_domains draws: the routes are
+    counted over all of them, so the draws are derandomized.  In
+    small_domains' short searches almost every list is re-derived
+    through an unmoved row."""
+    routes = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(threat_domains(), st.sampled_from(["LCFR", "ZLIFO", "DUnf-Gen"]))
+    def run(case, name):
+        dom, prob = case
+        with rederivations_checked(dom) as log:
+            plan_search(dom, prob, builtin(name), SearchConfig(node_limit=150))
+        routes.update(_routes(log))
+
+    run()
+    assert set(routes) == _ROUTES
+
+
+def _row_never_moves(derive):
+    """A mutant that skips the reuse ordering re-test after the open's
+    row moved: it passes the child's row as the parent's."""
+    def mutant(plan, flaw, parent, row, delta):
+        return derive(plan, flaw, parent, plan.orderings.succ[flaw.step], delta)
+    return mutant
+
+
+def _effects_never_touched(derive):
+    """A mutant that skips every reuse repair whose effect terms the Delta
+    touches when it touches none of the condition's."""
+    def mutant(plan, flaw, parent, row, delta):
+        if not delta.touches(flaw.literal.args, plan.bindings):
+            delta = replace(delta, rebound=frozenset())
+        return derive(plan, flaw, parent, row, delta)
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_row_never_moves, _effects_never_touched])
+def test_a_rederivation_that_skips_a_moved_bound_fails_the_check(monkeypatch, mutant):
+    """On ZLIFO/tileworld-3 each mutant keeps a reuse repair that a fresh
+    enumeration drops."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    monkeypatch.setattr(strategies, "rederive_open_repairs", mutant(strategies.rederive_open_repairs))
+    with pytest.raises(AssertionError, match="re-derived"), rederivations_checked(dom):
+        plan_search(dom, prob, builtin("ZLIFO"), SearchConfig(node_limit=2000))
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,9 +687,10 @@ def test_template_instantiation_equals_the_mapping_reference_on_random_domains(c
 @contextmanager
 def refreshes_checked():
     """While active, every agenda refresh the search makes with the
-    node's Delta must equal the full re-test refresh_agenda(node): the
-    same flaws in the same order with the same kinds, and the node
-    itself back exactly when the full re-test gives it back.  Yields
+    node's Delta (every popped node's but a doomed child's) must equal
+    the full re-test refresh_agenda(node): the same flaws in the same
+    order with the same kinds, and the node itself back exactly when
+    the full re-test gives it back.  Yields
     counts of the refreshes checked, of the threats whose ordering test
     the Delta let them skip, of those whose unification it let them
     skip by Delta.touches ("kinds skipped"), of the latter whose Delta
@@ -722,7 +806,8 @@ def test_refresh_with_the_delta_equals_a_full_refresh_on_random_domains(case, na
 def probes_checked(dom):
     """While active, every popped node's refreshed agenda is probed flaw
     by flaw, and each dead-end probe must answer as the full enumeration
-    does.  Yields counts of the answers by (branch, answer): "lookup"
+    does.  A doomed child is pruned unrefreshed, so it is not seen here
+    (doomed_checked probes it).  Yields counts of the answers by (branch, answer): "lookup"
     for an open condition whose key is in dom.always_establishable,
     "scan" for any other open condition, "threat" for a threat."""
     log = Counter()
@@ -790,6 +875,102 @@ def test_the_probe_answers_as_the_enumeration_on_random_domains(case, name, syst
         plan_search(dom, prob, builtin(name), SearchConfig(node_limit=80, systematic=systematic))
 
 
+@contextmanager
+def doomed_checked():
+    """While active, every child search.refinements builds is checked
+    against its Delta's doomed mark.  A child marked doomed holds a
+    nonseparable threat its parent lacks, and once refreshed (the full
+    re-test) holds a flaw the dead-end probe answers False for, as the
+    enumeration does; a child not marked holds no new threat that the
+    probe answers False for.  Yields counts of the children built and of
+    those marked doomed.  The search counts a doomed child as pruned at
+    its pop without refreshing it, so probes_checked and
+    refreshes_checked never see one."""
+    log = Counter()
+    refine = search.refinements
+
+    def checked(plan, flaw, domain, config=None, ctx=None, repairs=None):
+        out = refine(plan, flaw, domain, config, ctx, repairs)
+        old = {f.inserted_at for f in plan.agenda}
+        for child, delta in out:
+            log["built"] += 1
+            new = {f.inserted_at for f in child.agenda if f.inserted_at not in old and f.kind != OPEN}
+            node = flaws.refresh_agenda(child)
+            dead = [f for f in node.agenda if not flaws.has_any_repair(node, f, domain)]
+            assert all(not flaws.enumerate_repairs(node, f, domain) for f in dead), f"{dead}: probe says False"
+            if delta.doomed:
+                log["doomed"] += 1
+                assert any(f.kind == NONSEPARABLE and f.inserted_at in new for f in child.agenda), (
+                    f"doomed child of {flaw} holds no new nonseparable threat"
+                )
+                assert dead, f"doomed child of {flaw} holds no dead end"
+            else:
+                assert not [f for f in dead if f.inserted_at in new], f"a child of {flaw} is not marked doomed"
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refinements", checked)
+        yield log
+
+
+@pytest.mark.parametrize("rank_text", ["S+OC", "S+OC+UC"])
+@pytest.mark.parametrize("name", ["LCFR", "ZLIFO", "DUnf-Gen"])
+@pytest.mark.parametrize(
+    "domain, problem", [("blocks", "invert4"), ("briefcase", "get-paid-bc-at-work"), ("tileworld", "tileworld-3")]
+)
+def test_doomed_children_hold_a_new_dead_end(domain, problem, name, rank_text):
+    """Under the sweep-toggled toggles: cached costs, the dmin test and
+    systematic threats."""
+    dom, probs = bundled(domain)
+    prob = next(p for p in probs if p.name == problem)
+    config = SearchConfig(rank=parse_rank(rank_text), node_limit=1000, **TOGGLES)
+    with doomed_checked() as log:
+        out = plan_search(dom, prob, builtin(name), config)
+    assert log["built"] == out.stats.children_built
+    assert log["doomed"] == out.stats.children_doomed
+
+
+def test_some_children_are_doomed():
+    """The check above is not vacuous: on tileworld-3 children are marked."""
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    with doomed_checked() as log:
+        out = plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=2000))
+    assert 0 < log["doomed"] == out.stats.children_doomed < log["built"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(threat_domains(), st.sampled_from(["UCPOP", "LCFR", "ZLIFO", "DUnf-Gen"]), st.booleans())
+def test_doomed_children_hold_a_new_dead_end_on_random_domains(case, name, systematic):
+    """At 300 nodes a few of these searches mark children doomed; the
+    rest check that no child is left unmarked."""
+    dom, prob = case
+    with doomed_checked() as log:
+        out = plan_search(dom, prob, builtin(name), SearchConfig(node_limit=300, systematic=systematic))
+    assert log["doomed"] == out.stats.children_doomed
+
+
+def test_a_child_marked_doomed_for_a_separable_threat_fails_the_check(monkeypatch):
+    """A mutant that marks a child doomed when it gains a separable
+    threat: such a threat always has a separation."""
+    refine = search.refinements
+
+    def mutant(plan, flaw, domain, config=None, ctx=None, repairs=None):
+        old = {f.inserted_at for f in plan.agenda}
+        return [
+            (child, replace(delta, doomed=True) if any(
+                f.kind == SEPARABLE and f.inserted_at not in old for f in child.agenda
+            ) else delta)
+            for child, delta in refine(plan, flaw, domain, config, ctx, repairs)
+        ]
+
+    monkeypatch.setattr(search, "refinements", mutant)
+    dom, probs = bundled("tileworld")
+    prob = next(p for p in probs if p.name == "tileworld-3")
+    with pytest.raises(AssertionError, match="doomed child"), doomed_checked():
+        plan_search(dom, prob, builtin("LCFR"), SearchConfig(node_limit=2000, systematic=True))
+
+
 def test_the_probe_never_scans_for_a_condition_a_new_step_always_establishes(monkeypatch):
     """UCPOP inherits no repair lists, so every open it keeps is probed
     at every node: the probe enumerates only tileworld's conditions that
@@ -821,13 +1002,13 @@ def test_the_probe_never_scans_for_a_condition_a_new_step_always_establishes(mon
 
 @pytest.mark.parametrize("rank_text, built", [("S+OC", False), ("S+OC+UC", True)])
 def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
-    """A frontier entry is (rank, tie, plan, the parent's lists, then
-    None and the child's Delta when the plan is the built child, or the
-    selected flaw and the repair when the plan is the parent).  Under
-    S+OC no child is built before its pop; under S+OC+UC every child
-    is.  What an entry carries besides its plan holds no plan, binding
-    store or ordering store, and a list that no delta changed is the
-    parent's own list object."""
+    """A frontier entry is (rank, tie, plan, the parent's successor rows
+    and lists, then None and the child's Delta when the plan is the
+    built child, or the selected flaw and the repair when the plan is
+    the parent).  Under S+OC no child is built before its pop; under
+    S+OC+UC every child is.  What an entry carries besides its plan
+    holds no plan, binding store or ordering store, and a list that no
+    delta changed is the parent's own list object."""
     dom, probs = bundled("tileworld")
     prob = next(p for p in probs if p.name == "tileworld-2")
     carried = {}
@@ -835,12 +1016,15 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
 
     def push(heap, entry):
         assert len(entry) == 6
-        assert entry[3] is None or isinstance(entry[3], dict)
+        if entry[3] is not None:
+            rows, lists = entry[3]
+            assert isinstance(rows, tuple) and isinstance(lists, dict)
         if entry[4] is None:
             assert isinstance(entry[5], Delta)
         else:
             assert isinstance(entry[4], Flaw) and isinstance(entry[5], flaws.Repair)
             assert entry[4] in entry[2].agenda  # the plan is the parent
+            assert entry[3] is None or entry[3][0] is entry[2].orderings.succ
         shapes[entry[4] is None] += 1
         for part in entry[3:]:  # the parent's lists, and the delta or the flaw and repair
             if part is not None:
@@ -851,8 +1035,8 @@ def test_frontier_entries_carry_lists_not_plans(monkeypatch, rank_text, built):
     unchanged = []
     derive = strategies.rederive_open_repairs
 
-    def derive_checked(plan, flaw, parent, delta):
-        got = derive(plan, flaw, parent, delta)
+    def derive_checked(plan, flaw, parent, row, delta):
+        got = derive(plan, flaw, parent, row, delta)
         if got == parent:
             assert got is parent, f"{flaw}: an unchanged list was copied"
             unchanged.append(got)
@@ -1528,7 +1712,7 @@ _ORACLE_CASES = given(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @_ORACLE_CASES
 def test_every_solution_executes_in_the_ground_oracle(case, name, pruning, dmin):
     """Soundness against tests/oracle.py, which shares no code with the
@@ -1564,7 +1748,7 @@ _UNGROUNDABLE_PROBLEM = parse_problem(
 
 @example(case=(_UNBOUND_NEGATIVE_DOMAIN, _UNBOUND_NEGATIVE_PROBLEM), name="UCPOP", pruning=True, dmin=False)
 @example(case=(_UNGROUNDABLE_DOMAIN, _UNGROUNDABLE_PROBLEM), name="LCFR", pruning=True, dmin=False)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @_ORACLE_CASES
 def test_an_exhausted_search_means_no_two_step_plan_exists(case, name, pruning, dmin):
     """Completeness against tests/oracle.py: a search that exhausts its
